@@ -20,7 +20,6 @@ import (
 	"repro/internal/delaunay"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/hashtable"
 	"repro/internal/lelists"
 	"repro/internal/lp"
 	"repro/internal/parallel"
@@ -448,24 +447,6 @@ func BenchmarkAblationGrain(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				parallel.ForGrain(0, n, grain, func(j int) {
 					xs[j] = float64(j) * 1.0000001
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationShards sweeps the concurrent hash map shard count under
-// a write-heavy mixed workload.
-func BenchmarkAblationShards(b *testing.B) {
-	const ops = 1 << 16
-	for _, shards := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := hashtable.New[int, int](shards, ops, func(k int) uint64 {
-					return hashtable.Mix64(uint64(k))
-				})
-				parallel.For(0, ops, func(j int) {
-					m.Update(j%1024, func(old int, _ bool) int { return old + 1 })
 				})
 			}
 		})

@@ -42,6 +42,14 @@ func quantize(p geom.Point, r float64) (int64, int64) {
 	return int64(math.Floor(p.X / r)), int64(math.Floor(p.Y / r))
 }
 
+// closer reports whether candidate (d, j) beats the best so far: a smaller
+// distance, or an equal one from a smaller index. Breaking ties by index
+// makes the nearest earlier point independent of cell order, which differs
+// between the sequential and the concurrent grids.
+func closer(d float64, j int32, best float64, bestJ int32) bool {
+	return d < best || d == best && j < bestJ
+}
+
 // seqGrid is the single-threaded grid used by Incremental.
 type seqGrid struct {
 	r     float64
@@ -68,7 +76,7 @@ func (g *seqGrid) nearest(pts []geom.Point, i int32, checks *int64) (float64, in
 		for dy := int64(-1); dy <= 1; dy++ {
 			for _, j := range g.cells[cellKey(qx+dx, qy+dy)] {
 				*checks++
-				if d := geom.Dist(pts[i], pts[j]); d < best {
+				if d := geom.Dist(pts[i], pts[j]); closer(d, j, best, bestJ) {
 					best, bestJ = d, j
 				}
 			}
@@ -79,7 +87,9 @@ func (g *seqGrid) nearest(pts []geom.Point, i int32, checks *int64) (float64, in
 
 // Incremental runs the sequential incremental algorithm over the points in
 // slice order (pre-shuffled by the caller for the probabilistic bounds).
-// It requires n >= 2 and distinct points.
+// It requires n >= 2. The run ends at the first zero distance (a duplicated
+// point): nothing can beat it, and a zero cell side would put every later
+// point in one cell, making the rest of the run quadratic.
 func Incremental(pts []geom.Point) (Result, Stats) {
 	var st Stats
 	n := len(pts)
@@ -89,6 +99,9 @@ func Incremental(pts []geom.Point) (Result, Stats) {
 	res := Result{I: 0, J: 1, Dist: geom.Dist(pts[0], pts[1])}
 	st.DistChecks++
 	st.Special++ // iteration 1 defines r
+	if res.Dist == 0 {
+		return res, st
+	}
 	g := newSeqGrid(res.Dist, n)
 	g.insert(pts, 0)
 	g.insert(pts, 1)
@@ -100,6 +113,9 @@ func Incremental(pts []geom.Point) (Result, Stats) {
 			// Special iteration: r shrinks; rebuild the grid over [0, i].
 			st.Special++
 			res = Result{I: int(j), J: i, Dist: d}
+			if d == 0 {
+				break
+			}
 			g = newSeqGrid(d, n)
 			for k := 0; k <= i; k++ {
 				g.insert(pts, int32(k))
@@ -138,7 +154,7 @@ func DivideAndConquer(pts []geom.Point) Result {
 		idx[i] = int32(i)
 	}
 	// A genuine comparison sort, not a dedup/group-by: the strip algorithm
-	// needs total x-order, so neither sortutil.Dedup nor the Delaunay
+	// needs total x-order, so neither a semisort nor the Delaunay
 	// round-stamp scheme applies here (and this is the sequential baseline
 	// on purpose). The incremental paths use the grid hash and never sort.
 	sort.Slice(idx, func(a, b int) bool { return pts[idx[a]].X < pts[idx[b]].X })

@@ -13,6 +13,28 @@ func uniqPoints(seed uint64, n int) []geom.Point {
 	return geom.Dedup(geom.UniformSquare(rng.New(seed), n))
 }
 
+// shuffledLattice returns the side x side integer lattice in a seeded
+// random order.
+func shuffledLattice(seed uint64, side int) []geom.Point {
+	pts := make([]geom.Point, 0, side*side)
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			pts = append(pts, geom.Point{X: float64(x), Y: float64(y)})
+		}
+	}
+	rng.ShuffleSlice(rng.New(seed), pts)
+	return pts
+}
+
+// withDuplicate returns a copy of pts whose point at index at repeats the
+// one at index at/2, so the closest pair is at distance 0 from iteration
+// at on.
+func withDuplicate[P any](pts []P, at int) []P {
+	out := append([]P(nil), pts...)
+	out[at] = out[at/2]
+	return out
+}
+
 func TestIncrementalMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		pts := uniqPoints(uint64(trial)+1, 2+trial*7)
@@ -28,8 +50,18 @@ func TestIncrementalMatchesBruteForce(t *testing.T) {
 }
 
 func TestParIncrementalMatchesSequential(t *testing.T) {
+	var inputs [][]geom.Point
 	for trial := 0; trial < 20; trial++ {
-		pts := uniqPoints(uint64(trial)*31+7, 2+trial*29)
+		inputs = append(inputs, uniqPoints(uint64(trial)*31+7, 2+trial*29))
+	}
+	// Duplicated points: the first pair, and one halfway through.
+	inputs = append(inputs, withDuplicate(uniqPoints(5, 100), 1),
+		withDuplicate(uniqPoints(6, 4000), 2000))
+	// Shuffled integer lattices whose last special iteration finds two
+	// earlier points at distance exactly 1 in one cell: the pair depends on
+	// the tie-break, not on cell list order.
+	inputs = append(inputs, shuffledLattice(160, 6), shuffledLattice(54, 20))
+	for trial, pts := range inputs {
 		seq, seqSt := Incremental(pts)
 		par, parSt := ParIncremental(pts)
 		if seq.I != par.I || seq.J != par.J || math.Abs(seq.Dist-par.Dist) > 1e-15 {
@@ -76,11 +108,15 @@ func TestLinearWork(t *testing.T) {
 	// Theorem 5.2: O(n) expected work. Distance checks should stay a small
 	// multiple of n (each insertion checks at most a constant number of
 	// points: grid cells hold <= 4 points each).
+	// A duplicated point ends the run at distance 0 instead of collapsing
+	// the grid to one cell.
 	for _, n := range []int{1000, 8000, 32000} {
 		pts := uniqPoints(uint64(n), n)
-		_, st := Incremental(pts)
-		if st.DistChecks > int64(40*n) {
-			t.Fatalf("n=%d: %d distance checks is superlinear", n, st.DistChecks)
+		for _, in := range [][]geom.Point{pts, withDuplicate(pts, n/2)} {
+			_, st := Incremental(in)
+			if st.DistChecks > int64(40*n) {
+				t.Fatalf("n=%d: %d distance checks is superlinear", n, st.DistChecks)
+			}
 		}
 	}
 }

@@ -64,26 +64,32 @@ func neighborKeysD(p PointD, r float64, buf []uint64) []uint64 {
 	}
 }
 
-// gridD is the d-dimensional concurrent grid. Hash collisions between
-// distinct cells are tolerated: a colliding cell only adds candidates to
-// scan, never hides one, because the owning cell of any point within
-// distance < r is among the 3^d neighbors and hashing is deterministic.
+// gridD is the d-dimensional concurrent grid, built like parGrid: a cell
+// maps to its newest point and next links each point to its cell's
+// previous one. Hash collisions between distinct cells are tolerated: a
+// colliding cell only adds candidates to scan, never hides one, because
+// the owning cell of any point within distance < r is among the 3^d
+// neighbors and hashing is deterministic.
 type gridD struct {
 	r     float64
-	cells *hashtable.LockFree[uint64, []int32]
+	cells *hashtable.LockFreeInline[uint64, int32]
+	next  []int32
 }
 
-func newGridD(r float64, capacity int) *gridD {
+// newGridD returns an empty grid with cell side r over next (see
+// newParGrid).
+func newGridD(r float64, next []int32) *gridD {
 	// cellKeyD is already FNV-mixed, and the lock-free table applies its
 	// own finalizing mix, so the identity hasher is safe here.
-	return &gridD{r: r, cells: hashtable.NewLockFree[uint64, []int32](capacity,
-		func(k uint64) uint64 { return k })}
+	return &gridD{r: r, next: next,
+		cells: hashtable.NewLockFreeInline[uint64, int32](len(next),
+			func(k uint64) uint64 { return k }, hashtable.EncInt32, hashtable.DecInt32)}
 }
 
 func (g *gridD) insert(pts []PointD, i int32) {
-	// Copy-on-write append, as the lock-free Update contract requires.
-	g.cells.Update(cellKeyD(pts[i], g.r), func(old []int32, _ bool) []int32 {
-		return appendCell(old, i)
+	g.cells.Update(cellKeyD(pts[i], g.r), func(head int32, ok bool) int32 {
+		g.next[i] = cellHead(head, ok)
+		return i
 	})
 }
 
@@ -91,13 +97,12 @@ func (g *gridD) nearestBefore(pts []PointD, i int32, buf []uint64, checks *int64
 	buf = neighborKeysD(pts[i], g.r, buf)
 	best, bestJ := math.Inf(1), int32(-1)
 	for _, k := range buf {
-		cell, _ := g.cells.Load(k)
-		for _, j := range cell {
+		for j := cellHead(g.cells.Load(k)); j >= 0; j = g.next[j] {
 			if j >= i {
 				continue
 			}
 			*checks++
-			if d := DistD(pts[i], pts[j]); d < best {
+			if d := DistD(pts[i], pts[j]); closer(d, j, best, bestJ) {
 				best, bestJ = d, j
 			}
 		}
@@ -106,7 +111,8 @@ func (g *gridD) nearestBefore(pts []PointD, i int32, buf []uint64, checks *int64
 }
 
 // IncrementalD runs the sequential incremental algorithm in R^d over
-// pre-shuffled, distinct points (n >= 2, uniform dimension).
+// pre-shuffled points (n >= 2, uniform dimension). Like Incremental, it
+// stops at the first zero distance.
 func IncrementalD(pts []PointD) (Result, Stats) {
 	n := len(pts)
 	if n < 2 {
@@ -116,7 +122,11 @@ func IncrementalD(pts []PointD) (Result, Stats) {
 	res := Result{I: 0, J: 1, Dist: DistD(pts[0], pts[1])}
 	st.DistChecks++
 	st.Special++
-	g := newGridD(res.Dist, n)
+	if res.Dist == 0 {
+		return res, st
+	}
+	next := make([]int32, n)
+	g := newGridD(res.Dist, next)
 	g.insert(pts, 0)
 	g.insert(pts, 1)
 	var buf []uint64
@@ -127,7 +137,10 @@ func IncrementalD(pts []PointD) (Result, Stats) {
 		if d < res.Dist {
 			st.Special++
 			res = Result{I: int(j), J: i, Dist: d}
-			g = newGridD(d, n)
+			if d == 0 {
+				break
+			}
+			g = newGridD(d, next)
 			for k := 0; k <= i; k++ {
 				g.insert(pts, int32(k))
 			}
@@ -153,18 +166,20 @@ func ParIncrementalD(pts []PointD) (Result, Stats) {
 	res := Result{I: 0, J: 1, Dist: DistD(pts[0], pts[1])}
 	st.DistChecks++
 	st.Special++
-	g := newGridD(res.Dist, n)
-	g.insert(pts, 0)
-	g.insert(pts, 1)
-
+	next := make([]int32, n)
+	var g *gridD
 	rebuild := func(upto int) {
-		g = newGridD(res.Dist, n)
+		g = newGridD(res.Dist, next)
 		// Inserts are cheap and uniform: grain 128 (see parallel.go — claim
 		// traffic is lane-local on the stealing pool).
 		parallel.ForGrain(0, upto+1, 128, func(k int) { g.insert(pts, int32(k)) })
 	}
 
-	j := 2
+	j := n // a duplicate pair ends the run, as in IncrementalD
+	if res.Dist > 0 {
+		rebuild(1)
+		j = 2
+	}
 	for hi := 4; j < n; hi *= 2 {
 		if hi > n {
 			hi = n
@@ -190,6 +205,10 @@ func ParIncrementalD(pts []PointD) (Result, Stats) {
 			}
 			st.Special++
 			res = Result{I: int(arg[l-j]), J: l, Dist: dist[l-j]}
+			if res.Dist == 0 {
+				j = n
+				break
+			}
 			rebuild(l)
 			j = l + 1
 		}

@@ -40,9 +40,12 @@ func TestIncrementalDMatchesBruteForce(t *testing.T) {
 
 func TestParIncrementalDMatchesSequential(t *testing.T) {
 	for _, d := range []int{2, 3, 5} {
-		for trial := 0; trial < 6; trial++ {
+		for trial := 0; trial < 7; trial++ {
 			n := 2 + trial*150
 			pts := randPointsD(uint64(d*1000+trial), n, d)
+			if trial == 6 { // a duplicated point halfway through
+				pts = withDuplicate(pts, n/2)
+			}
 			seq, seqSt := IncrementalD(pts)
 			par, parSt := ParIncrementalD(pts)
 			if seq != par {
@@ -75,10 +78,12 @@ func TestIncrementalDWorkGrowsWithDimension(t *testing.T) {
 	n := 4000
 	for _, d := range []int{2, 3, 4} {
 		pts := randPointsD(uint64(d), n, d)
-		_, st := IncrementalD(pts)
 		limit := int64(n) * int64(40*(1<<d)) // generous c_d envelope
-		if st.DistChecks > limit {
-			t.Fatalf("d=%d: %d checks exceed linear envelope %d", d, st.DistChecks, limit)
+		for _, in := range [][]PointD{pts, withDuplicate(pts, n/2)} {
+			_, st := IncrementalD(in)
+			if st.DistChecks > limit {
+				t.Fatalf("d=%d: %d checks exceed linear envelope %d", d, st.DistChecks, limit)
+			}
 		}
 	}
 }

@@ -9,56 +9,66 @@ import (
 	"repro/internal/parallel"
 )
 
-// parGrid is the concurrent grid used by ParIncremental: cells live in a
+// parGrid is the concurrent grid used by ParIncremental: cells live in the
 // lock-free hash table so whole prefixes can be inserted in parallel and
-// checked concurrently.
+// checked concurrently. A cell maps to its newest point only; next links
+// every point to the point inserted into its cell before it (-1 ends the
+// list), so an insert is one allocation-free table write.
 type parGrid struct {
 	r     float64
-	cells *hashtable.LockFree[uint64, []int32]
+	cells *hashtable.LockFreeInline[uint64, int32]
+	next  []int32
 }
 
-func newParGrid(r float64, capacity int) *parGrid {
+// newParGrid returns an empty grid with cell side r over next, which must
+// have room for every point index the grid will hold. A rebuild may hand
+// the previous grid's next to its successor: an insert writes its point's
+// link before any probe can reach it.
+func newParGrid(r float64, next []int32) *parGrid {
 	// Identity hasher: the lock-free table applies its own finalizing
 	// Mix64 to spread the packed cell coordinates.
 	return &parGrid{
 		r: r,
-		cells: hashtable.NewLockFree[uint64, []int32](capacity,
-			func(k uint64) uint64 { return k }),
+		cells: hashtable.NewLockFreeInline[uint64, int32](len(next),
+			func(k uint64) uint64 { return k }, hashtable.EncInt32, hashtable.DecInt32),
+		next: next,
 	}
 }
 
 func (g *parGrid) insert(pts []geom.Point, i int32) {
 	qx, qy := quantize(pts[i], g.r)
-	// Copy-on-write append: the lock-free Update retries on CAS races, so
-	// the function must not mutate the old slice in place (appendCell).
-	g.cells.Update(cellKey(qx, qy), func(old []int32, _ bool) []int32 {
-		return appendCell(old, i)
+	// Update runs the callback exactly once, under the slot's write lock,
+	// so concurrent inserts into one cell each link to the head they
+	// displace and no point is lost.
+	g.cells.Update(cellKey(qx, qy), func(head int32, ok bool) int32 {
+		g.next[i] = cellHead(head, ok)
+		return i
 	})
 }
 
-// appendCell returns a fresh slice with i appended, leaving old untouched.
-// Cells hold O(1) points in expectation, so the copy is constant work.
-func appendCell(old []int32, i int32) []int32 {
-	ns := make([]int32, len(old)+1)
-	copy(ns, old)
-	ns[len(old)] = i
-	return ns
+// cellHead is a cell's newest point, or -1 (the list terminator) when the
+// cell is empty.
+func cellHead(j int32, ok bool) int32 {
+	if !ok {
+		return -1
+	}
+	return j
 }
 
 // nearestBefore returns the minimum distance from pts[i] to 3x3-neighborhood
-// points with index strictly less than i, and the argmin (-1 if none).
+// points with index strictly less than i, and the argmin (-1 if none; ties
+// go to the smaller index, so the answer does not depend on list order).
 func (g *parGrid) nearestBefore(pts []geom.Point, i int32, checks *int64) (float64, int32) {
 	qx, qy := quantize(pts[i], g.r)
 	best, bestJ := math.Inf(1), int32(-1)
 	for dx := int64(-1); dx <= 1; dx++ {
 		for dy := int64(-1); dy <= 1; dy++ {
-			cell, _ := g.cells.Load(cellKey(qx+dx, qy+dy))
-			for _, j := range cell {
+			for j := cellHead(g.cells.Load(cellKey(qx+dx, qy+dy))); j >= 0; j = g.next[j] {
 				if j >= i {
 					continue
 				}
 				*checks++
-				if d := geom.Dist(pts[i], pts[j]); d < best {
+				if d := geom.Dist(pts[i], pts[j]); closer(d, j, best, bestJ) {
 					best, bestJ = d, j
 				}
 			}
@@ -88,13 +98,10 @@ func ParIncremental(pts []geom.Point) (Result, Stats) {
 	res := Result{I: 0, J: 1, Dist: geom.Dist(pts[0], pts[1])}
 	checks.Add(1)
 	st.Special++ // iteration 1 defines r, as in the sequential count
-	g := newParGrid(res.Dist, n)
-	g.insert(pts, 0)
-	g.insert(pts, 1)
-
-	st.CellProbes += 2
+	next := make([]int32, n)
+	var g *parGrid
 	rebuild := func(upto int) {
-		g = newParGrid(res.Dist, n)
+		g = newParGrid(res.Dist, next)
 		// Inserts are cheap and uniform: grain 128 — claim traffic is
 		// lane-local on the stealing pool, so half the old 256 grain buys
 		// rebalance headroom for hot grid cells at no shared-counter cost.
@@ -102,7 +109,11 @@ func ParIncremental(pts []geom.Point) (Result, Stats) {
 		st.CellProbes += int64(upto + 1)
 	}
 
-	j := 2
+	j := n // a duplicate pair ends the run, as in Incremental
+	if res.Dist > 0 {
+		rebuild(1)
+		j = 2
+	}
 	for hi := 4; j < n; hi *= 2 {
 		if hi > n {
 			hi = n
@@ -136,6 +147,10 @@ func ParIncremental(pts []geom.Point) (Result, Stats) {
 			}
 			st.Special++
 			res = Result{I: int(arg[l-j]), J: l, Dist: dist[l-j]}
+			if res.Dist == 0 {
+				j = n
+				break
+			}
 			rebuild(l)
 			j = l + 1
 		}

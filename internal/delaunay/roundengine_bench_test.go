@@ -130,8 +130,8 @@ func benchDense(m int, dup float64) []uint64 {
 // the same touched-face stream: the shipped round-stamp flag pass + pack
 // (the stamp writes themselves ride the face-attachment updates the round
 // performs anyway, so they are prepaid here), the sorted merge the engine
-// used before, and the semisort dedup (sortutil.Dedup) as the middle
-// ground. This is the ablation that decided what ships — see DESIGN.md.
+// used before, and a semisort group-by (sortutil.Semisort, keeping one
+// key per group) as the middle ground. This is the ablation that decided what ships — see DESIGN.md.
 func BenchmarkDelaunayRoundDedup(b *testing.B) {
 	const m = 1 << 13
 	dense := benchDense(m, 0.5)
@@ -150,7 +150,11 @@ func BenchmarkDelaunayRoundDedup(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("scheme=semisort/m=%d", m), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sortutil.Dedup(dense)
+			gs := sortutil.Semisort(len(dense), func(i int) uint64 { return dense[i] })
+			out := make([]uint64, len(gs))
+			for i, g := range gs {
+				out[i] = g.Key
+			}
 		}
 	})
 	b.Run(fmt.Sprintf("scheme=stamp/m=%d", m), func(b *testing.B) {

@@ -51,11 +51,11 @@ const (
 	// Supports Delay.
 	SchedSteal
 	// TableMigrate fires at the top of each cooperative-migration chunk
-	// claim (internal/hashtable helpMigrate), before the chunk counter is
-	// advanced. Supports Delay and Panic: a panic here models an operation
-	// dying mid-growth; because it fires before the claim, no chunk is
-	// ever stranded claimed-but-unmigrated, and the surviving threads (or
-	// a later Flatten) finish the migration.
+	// claim (internal/hashtable LockFreeInline.helpMigrate), before the
+	// chunk counter is advanced. Supports Delay and Panic: a panic here
+	// models an operation dying mid-growth; because it fires before the
+	// claim, no chunk is ever stranded claimed-but-unmigrated, and the
+	// surviving threads (or a later Flatten) finish the migration.
 	TableMigrate
 	// DelaunayPhase fires between the phases of a Delaunay engine round
 	// (activation, A, B, emission). Supports Delay and Panic; a panic here
@@ -68,12 +68,12 @@ const (
 	// and Panic.
 	Type3Round
 	// EpochPublish fires between a committed round and the publication of
-	// its snapshot view (delaunay.Live.Step, hashtable AdvanceEpoch).
-	// Supports Delay and Panic: a panic models the publisher dying after
-	// the round committed but before readers could see it — the round's
-	// effects are durable, and the next successful publication covers the
-	// orphaned round, so readers observe a gap in epochs but never an
-	// inconsistent view.
+	// its snapshot view (delaunay.Live.Step, hashtable
+	// LockFreeInline.AdvanceEpoch). Supports Delay and Panic: a panic
+	// models the publisher dying after the round committed but before
+	// readers could see it — the round's effects are durable, and the next
+	// successful publication covers the orphaned round, so readers observe
+	// a gap in epochs but never an inconsistent view.
 	EpochPublish
 	// CheckpointFrame fires before each frame write of a checkpoint save
 	// (internal/checkpoint.Writer.Save). Supports Delay, Panic, and Err:

@@ -1,11 +1,11 @@
 package hashtable
 
-// BenchmarkHashtable compares the sharded mutex map against the lock-free
-// table under the op mixes the consumers generate: bulk insert (grid
-// build), read-mostly lookup (face-map activation), pure update (face
-// attachment / cell append), and a mixed stream. Results are recorded in
-// BENCH_hashtable.json; the CI bench job gates them against
-// BENCH_baseline.txt.
+// BenchmarkHashtable measures the lock-free table, beside the sharded
+// mutex map the tests use as their oracle, under the op mixes the
+// consumers generate: bulk insert (grid build), read-mostly lookup
+// (face-map activation), pure update (face attachment / cell push), and a
+// mixed stream. Results are recorded in BENCH_hashtable.json; the CI bench
+// job gates them against BENCH_baseline.txt.
 
 import (
 	"sync/atomic"
@@ -22,11 +22,6 @@ func benchTables(capacity int) map[string]func() Table[uint64, int64] {
 		"sharded": func() Table[uint64, int64] {
 			return New[uint64, int64](4*parallel.MaxProcs(), capacity, hash)
 		},
-		"lockfree": func() Table[uint64, int64] {
-			return NewLockFree[uint64, int64](capacity, hash)
-		},
-		// The seqlock inline-slot table: same protocol, no value box on
-		// writes. This is the ROADMAP single-core write-gap ablation arm.
 		"inline": func() Table[uint64, int64] {
 			return NewLockFreeInline[uint64, int64](capacity, hash,
 				func(v int64) (uint64, uint64) { return uint64(v), 0 },
@@ -142,8 +137,7 @@ func BenchmarkHashtableMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkHashtableRange sweeps a populated table (the bulk-phase shape):
-// sequential Range on both, plus the pool-parallel RangePar on lockfree.
+// BenchmarkHashtableRange sweeps a populated table (the bulk-phase shape).
 func BenchmarkHashtableRange(b *testing.B) {
 	for name, mk := range benchTables(benchN) {
 		b.Run("impl="+name, func(b *testing.B) {
@@ -161,18 +155,4 @@ func BenchmarkHashtableRange(b *testing.B) {
 			}
 		})
 	}
-	b.Run("impl=lockfree-par", func(b *testing.B) {
-		m := NewLockFree[uint64, int64](benchN, func(k uint64) uint64 { return Mix64(k) })
-		for k := 0; k < benchN; k++ {
-			m.Store(uint64(k), int64(k))
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var total atomic.Int64
-			m.RangePar(func(k uint64, v int64) { total.Add(v) })
-			if total.Load() == 0 {
-				b.Fatal("empty sweep")
-			}
-		}
-	})
 }

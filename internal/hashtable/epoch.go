@@ -12,17 +12,15 @@ import (
 // each committed round boundary calls AdvanceEpoch — a phase operation
 // that drives any in-flight migration to completion (so the root is a
 // flat array) and bumps the table's epoch counter. Reader goroutines take
-// snapshots at any time; for the lock-free tables a snapshot is O(1) — it
-// pins the current root table and registers its epoch with the table's
-// reclamation registry.
+// snapshots at any time; a snapshot is O(1) — it pins the current root
+// table and registers its epoch with the table's reclamation registry.
 //
 // What a snapshot guarantees, precisely:
 //
-//   - Every read is torn-free. Snap.Load/Range on the inline table go
-//     through the validated seqlock read (load meta, words, meta again),
-//     and on the box table through immutable box pointers, so a reader
-//     can never observe half of a two-word write — even while writers
-//     storm the same slots.
+//   - Every read is torn-free. Snap.Load/Range go through the validated
+//     seqlock read (load meta, words, meta again), so a reader can never
+//     observe half of a two-word write — even while writers storm the
+//     same slots.
 //   - Reads are *regular*: a Load returns the value of some committed
 //     write no older than the snapshot point (never an older one, never a
 //     torn one). Writes that land after the snapshot MAY be visible —
@@ -57,8 +55,8 @@ type Snap[K comparable, V any] interface {
 }
 
 // epochCore is the per-table epoch counter plus the deferred-reclamation
-// registry for superseded slot arrays. It is embedded in all three Table
-// implementations; the zero value is ready to use.
+// registry for superseded slot arrays. LockFreeInline embeds it (so does
+// the tests' Map oracle); the zero value is ready to use.
 type epochCore struct {
 	epoch atomic.Uint64
 
@@ -171,10 +169,10 @@ func (s *snapRef) Close() {
 	}
 }
 
-// phaseDebug is the ridtdebug-tag phase-violation detector. The lock-free
-// tables' bulk operations (Len, Range, RangePar, Clear, Reserve, Flatten,
-// AdvanceEpoch) are phase operations: running one concurrently with a
-// mutator corrupts silently (torn sweeps, lost writes behind a Clear).
+// phaseDebug is the ridtdebug-tag phase-violation detector. The table's
+// bulk operations (Len, Range, Clear, Reserve, Flatten, AdvanceEpoch) are
+// phase operations: running one concurrently with a mutator corrupts
+// silently (torn sweeps, lost writes behind a Clear).
 // Under `-tags ridtdebug` every mutator entry/exit maintains an atomic
 // in-flight count and every phase operation asserts it is zero; in the
 // default build debugPhase is a false constant and the hooks compile
@@ -191,51 +189,3 @@ func (d *phaseDebug) assertQuiesced(op string) {
 			" ran concurrently with a mutator (phase-concurrency violation)")
 	}
 }
-
-// mapSnap is Map's snapshot: a materialized copy taken shard by shard
-// under the shard locks. The sharded map mutates values in place with no
-// versioning, so pinning is impossible — the copy is the point: it makes
-// Map the semantics oracle for the snapshot tests (its snapshots are
-// trivially frozen). Copying is O(n); take Map snapshots at quiesced
-// boundaries, as with any Map-wide sweep.
-type mapSnap[K comparable, V any] struct {
-	snapRef
-	m map[K]V
-}
-
-// Snapshot returns a frozen copy of the map's contents. Each shard is
-// copied under its lock; for a cross-shard-consistent snapshot call it
-// from a quiesced boundary (the round protocol does).
-func (m *Map[K, V]) Snapshot() Snap[K, V] {
-	s := &mapSnap[K, V]{m: make(map[K]V, m.Len())}
-	s.ec, s.epoch = &m.epochCore, m.epochCore.register()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.m {
-			s.m[k] = v
-		}
-		sh.mu.Unlock()
-	}
-	return s
-}
-
-//ridt:noalloc
-func (s *mapSnap[K, V]) Load(k K) (V, bool) {
-	v, ok := s.m[k]
-	return v, ok
-}
-
-func (s *mapSnap[K, V]) Len() int { return len(s.m) }
-
-func (s *mapSnap[K, V]) Range(f func(k K, v V) bool) {
-	for k, v := range s.m {
-		if !f(k, v) {
-			return
-		}
-	}
-}
-
-// AdvanceEpoch bumps the map's epoch (no migration to flatten) and
-// reclaims unreferenced snapshots' pins.
-func (m *Map[K, V]) AdvanceEpoch() uint64 { return m.epochCore.advance() }

@@ -1,12 +1,12 @@
 package hashtable
 
-// Tests for the epoch/snapshot layer (epoch.go): snapshot semantics
-// across all three implementations against the frozen mapSnap oracle,
-// the regular-read guarantee, deferred reclamation of superseded slot
-// arrays, the round-prefix completeness of boundary snapshots, the
-// torn-read pins for the seqlock-validated Range/Len/snapshot paths
-// (satellite bugfix of this PR), and the ridtdebug phase-violation
-// detector. The storm tests are run under -race by the CI race job.
+// Tests for the epoch/snapshot layer (epoch.go): LockFreeInline snapshot
+// semantics against the frozen mapSnap oracle, the regular-read guarantee,
+// deferred reclamation of superseded slot arrays, the round-prefix
+// completeness of boundary snapshots, the torn-read pins for the
+// seqlock-validated Range/Len/snapshot paths, and the ridtdebug
+// phase-violation detector. The storm tests are run under -race by the CI
+// race job.
 
 import (
 	"runtime"
@@ -17,19 +17,18 @@ import (
 	"repro/internal/rng"
 )
 
-// snapImpls builds one table per implementation for the shared tests.
+// snapImpls builds the table and the Map oracle for the shared tests.
 func snapImpls() map[string]func() Table[int, int] {
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
 	return map[string]func() Table[int, int]{
-		"map":      func() Table[int, int] { return New[int, int](8, 64, hash) },
-		"lockfree": func() Table[int, int] { return NewLockFree[int, int](4, hash) },
-		"inline":   func() Table[int, int] { return NewLockFreeInline[int, int](4, hash, EncInt, DecInt) },
+		"map":    func() Table[int, int] { return New[int, int](8, 64, hash) },
+		"inline": func() Table[int, int] { return newInlineInt(4) },
 	}
 }
 
 // TestSnapshotQuiesced: a snapshot taken at a quiesced epoch boundary
 // holds exactly the committed contents — Load, Len, and Range all agree
-// with the oracle, for every implementation. The insert count is chosen
+// with the oracle, for the table and the Map oracle. The insert count is chosen
 // to force several migrations first, so the pinned root is a flattened
 // table that absorbed forwarding.
 func TestSnapshotQuiesced(t *testing.T) {
@@ -87,7 +86,7 @@ func TestSnapshotQuiesced(t *testing.T) {
 
 // TestSnapshotRegularReads pins the write-visibility contract: after a
 // snapshot, in-place overwrites MAY be visible through the lock-free
-// snapshots (the snapshot pins the array, not the values) but MUST be
+// snapshot (the snapshot pins the array, not the values) but MUST be
 // one of the two committed values — while the Map snapshot, a frozen
 // copy, never sees them. Keys inserted after the snapshot into a grown
 // successor table are invisible to the pinned root.
@@ -267,130 +266,116 @@ func TestSnapshotRoundPrefix(t *testing.T) {
 	if testing.Short() {
 		rounds, perRound = 15, 60
 	}
-	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	impls := map[string]Table[int, int]{
-		"lockfree": NewLockFree[int, int](4, hash),
-		"inline":   NewLockFreeInline[int, int](4, hash, EncInt, DecInt),
-	}
-	for name, h := range impls {
-		t.Run(name, func(t *testing.T) {
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			fail := make(chan string, 1)
-			report := func(msg string) {
-				select {
-				case fail <- msg:
-				default:
-				}
-			}
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() {
-						s := h.Snapshot()
-						e := s.Epoch()
-						// Completeness + exactness over the committed prefix.
-						for r := uint64(1); r <= e; r++ {
-							base := (int(r) - 1) * perRound
-							for i := 0; i < perRound; i += 7 {
-								v, ok := s.Load(base + i)
-								if !ok || uint64(v) != r {
-									report("snapshot missed committed key")
-									s.Close()
-									return
-								}
-							}
-						}
-						n := 0
-						s.Range(func(k, v int) bool {
-							if uint64(v) <= e {
-								n++
-							}
-							return true
-						})
-						if n != int(e)*perRound {
-							report("prefix count mismatch in Range")
-						}
-						s.Close()
-					}
-				}()
-			}
-			for r := 1; r <= rounds; r++ {
-				base := (r - 1) * perRound
-				for i := 0; i < perRound; i++ {
-					h.Store(base+i, r)
-				}
-				if got := h.AdvanceEpoch(); got != uint64(r) {
-					t.Fatalf("AdvanceEpoch = %d, want %d", got, r)
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
+	t.Run("inline", func(t *testing.T) {
+		h := newInlineInt(4)
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		fail := make(chan string, 1)
+		report := func(msg string) {
 			select {
-			case msg := <-fail:
-				t.Fatal(msg)
+			case fail <- msg:
 			default:
 			}
-		})
-	}
+		}
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					s := h.Snapshot()
+					e := s.Epoch()
+					// Completeness + exactness over the committed prefix.
+					for r := uint64(1); r <= e; r++ {
+						base := (int(r) - 1) * perRound
+						for i := 0; i < perRound; i += 7 {
+							v, ok := s.Load(base + i)
+							if !ok || uint64(v) != r {
+								report("snapshot missed committed key")
+								s.Close()
+								return
+							}
+						}
+					}
+					n := 0
+					s.Range(func(k, v int) bool {
+						if uint64(v) <= e {
+							n++
+						}
+						return true
+					})
+					if n != int(e)*perRound {
+						report("prefix count mismatch in Range")
+					}
+					s.Close()
+				}
+			}()
+		}
+		for r := 1; r <= rounds; r++ {
+			base := (r - 1) * perRound
+			for i := 0; i < perRound; i++ {
+				h.Store(base+i, r)
+			}
+			if got := h.AdvanceEpoch(); got != uint64(r) {
+				t.Fatalf("AdvanceEpoch = %d, want %d", got, r)
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+		select {
+		case msg := <-fail:
+			t.Fatal(msg)
+		default:
+		}
+	})
 }
 
 // TestDeferredReclamation observes the registry directly: a superseded
 // root stays parked while a snapshot from its era is open, and is
 // dropped once the snapshot closes and the epoch passes it.
 func TestDeferredReclamation(t *testing.T) {
-	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	for name, h := range map[string]interface {
-		Table[int, int]
-		retiredCount() int
-	}{
-		"lockfree": NewLockFree[int, int](2, hash),
-		"inline":   NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
-	} {
-		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 16; i++ {
-				h.Store(i, i)
+	t.Run("inline", func(t *testing.T) {
+		h := newInlineInt(2)
+		for i := 0; i < 16; i++ {
+			h.Store(i, i)
+		}
+		h.AdvanceEpoch()
+		s := h.Snapshot()
+		for i := 16; i < 2000; i++ { // force growth past the pinned root
+			h.Store(i, i)
+		}
+		h.Flatten()
+		if h.retiredCount() == 0 {
+			t.Fatal("growth under an open snapshot retired nothing")
+		}
+		// The pinned view still serves its era's keys.
+		for i := 0; i < 16; i++ {
+			if v, ok := s.Load(i); !ok || v != i {
+				t.Fatalf("pinned snapshot lost key %d", i)
 			}
-			h.AdvanceEpoch()
-			s := h.Snapshot()
-			for i := 16; i < 2000; i++ { // force growth past the pinned root
-				h.Store(i, i)
-			}
-			h.Flatten()
-			if h.retiredCount() == 0 {
-				t.Fatal("growth under an open snapshot retired nothing")
-			}
-			// The pinned view still serves its era's keys.
-			for i := 0; i < 16; i++ {
-				if v, ok := s.Load(i); !ok || v != i {
-					t.Fatalf("pinned snapshot lost key %d", i)
-				}
-			}
-			h.AdvanceEpoch() // boundary passes the retire epoch; snapshot still pins
-			if h.retiredCount() == 0 {
-				t.Fatal("retired table reclaimed while its snapshot was open")
-			}
-			s.Close()
-			h.AdvanceEpoch()
-			if n := h.retiredCount(); n != 0 {
-				t.Fatalf("retiredCount = %d after close+advance, want 0", n)
-			}
-			// Clear also retires, and reclaims on the next boundary.
-			h.Clear()
-			if h.retiredCount() == 0 {
-				t.Fatal("Clear did not retire the old root")
-			}
-			h.AdvanceEpoch()
-			if n := h.retiredCount(); n != 0 {
-				t.Fatalf("retiredCount = %d after Clear+advance, want 0", n)
-			}
-		})
-	}
+		}
+		h.AdvanceEpoch() // boundary passes the retire epoch; snapshot still pins
+		if h.retiredCount() == 0 {
+			t.Fatal("retired table reclaimed while its snapshot was open")
+		}
+		s.Close()
+		h.AdvanceEpoch()
+		if n := h.retiredCount(); n != 0 {
+			t.Fatalf("retiredCount = %d after close+advance, want 0", n)
+		}
+		// Clear also retires, and reclaims on the next boundary.
+		h.Clear()
+		if h.retiredCount() == 0 {
+			t.Fatal("Clear did not retire the old root")
+		}
+		h.AdvanceEpoch()
+		if n := h.retiredCount(); n != 0 {
+			t.Fatalf("retiredCount = %d after Clear+advance, want 0", n)
+		}
+	})
 }
 
 // TestSnapshotLoadAllocs pins the zero-alloc serve path: snapshot Load
-// must not allocate on any implementation (ridtvet checks the same
+// must not allocate, on the table or the oracle (ridtvet checks the same
 // functions statically via //ridt:noalloc).
 func TestSnapshotLoadAllocs(t *testing.T) {
 	for name, mk := range snapImpls() {
@@ -420,40 +405,27 @@ func TestPhaseViolationDetector(t *testing.T) {
 	if !debugPhase {
 		t.Skip("phase detector compiled out; run with -tags ridtdebug")
 	}
-	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	lf := NewLockFree[int, int](4, hash)
-	in := NewLockFreeInline[int, int](4, hash, EncInt, DecInt)
-	for name, tc := range map[string]struct {
-		h   Table[int, int]
-		mut *phaseDebug
-	}{
-		"lockfree": {lf, &lf.phaseDebug},
-		"inline":   {in, &in.phaseDebug},
-	} {
-		t.Run(name, func(t *testing.T) {
-			h, mut := tc.h, tc.mut
-			h.Store(1, 1)
-			mut.muts.Add(1) // simulate a mutator parked mid-flight
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("Len with a mutator in flight did not panic")
-					}
-				}()
-				h.Len()
-			}()
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("AdvanceEpoch with a mutator in flight did not panic")
-					}
-				}()
-				h.AdvanceEpoch()
-			}()
-			mut.muts.Add(-1)
-			if h.Len() != 1 { // quiesced again: phase ops run fine
-				t.Error("Len wrong after quiesce")
+	h := newInlineInt(4)
+	h.Store(1, 1)
+	h.muts.Add(1) // simulate a mutator parked mid-flight
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Len with a mutator in flight did not panic")
 			}
-		})
+		}()
+		h.Len()
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AdvanceEpoch with a mutator in flight did not panic")
+			}
+		}()
+		h.AdvanceEpoch()
+	}()
+	h.muts.Add(-1)
+	if h.Len() != 1 { // quiesced again: phase ops run fine
+		t.Error("Len wrong after quiesce")
 	}
 }

@@ -100,17 +100,9 @@ func runMigratePanicStress(t *testing.T, mk func() Table[int, int]) {
 	}
 }
 
-func TestLockFreeMigratePanic(t *testing.T) {
-	runMigratePanicStress(t, func() Table[int, int] {
-		return NewLockFree[int, int](16, intHasher)
-	})
-}
-
 func TestLockFreeInlineMigratePanic(t *testing.T) {
 	runMigratePanicStress(t, func() Table[int, int] {
-		return NewLockFreeInline[int, int](16, intHasher,
-			func(v int) (uint64, uint64) { return uint64(v), 0 },
-			func(a, _ uint64) int { return int(a) })
+		return NewLockFreeInline[int, int](16, intHasher, EncInt, DecInt)
 	})
 }
 
@@ -132,7 +124,7 @@ func TestMigrateDelayStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1 << 14
-	h := NewLockFree[int, int](16, intHasher)
+	h := NewLockFreeInline[int, int](16, intHasher, EncInt, DecInt)
 	parallel.ForGrain(0, n, 32, func(i int) { h.Store(i, i) })
 	if h.Len() != n {
 		t.Fatalf("Len=%d, want %d", h.Len(), n)

@@ -8,23 +8,31 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file implements the seqlock inline-slot variant of the lock-free
-// table (the ROADMAP "seqlock inline value slots for small PODs" item).
-// The box-based LockFree table allocates an immutable value box per
-// effective write; for small plain-old-data values (the Delaunay
-// faceEntry, the SCC int32 minima) that box is the entire single-core
-// write cost. LockFreeInline stores the value inline in the slot instead:
-// two 64-bit words guarded by a per-slot seqlock, so winning
-// Store/Update/UpdateIf writes allocate nothing at all.
+// This file implements the lock-free growable table. See DESIGN.md for the
+// full protocol.
 //
-// The table protocol — CAS-claimed linear-probing slots, value-level
-// tombstones, cooperative chunk-claimed migration with poisoned empty
-// slots and ghost freezing — is a faithful port of lockfree.go with the
-// box pointer replaced by the seqlock cell; see DESIGN.md for the shared
-// protocol and the differences.
+// Layout: open addressing with linear probing. A slot is claimed for a key
+// with a CAS on its state word (empty -> busy -> full); once full, a slot's
+// key never changes and the slot is never freed, so probe chains only grow
+// and a probe that reaches an empty slot has proven absence. The value
+// lives inline in the slot: two 64-bit words guarded by a per-slot seqlock
+// (a codec supplied at construction maps V to and from the words), so no
+// write path allocates. Deletion is a value-level tombstone that keeps the
+// probe chain intact.
+//
+// Growth: when the claim count passes the load limit, a larger table is
+// linked via next and every thread that touches the table helps migrate:
+// migration chunks are claimed with an atomic counter (the same dynamic
+// self-scheduling as the parallel pool), empty slots are poisoned
+// (empty -> moved) so late inserts cannot land behind the sweep, and full
+// slots are frozen under their write lock, after which their value is
+// installed into the next table if the key has no state there yet. Any
+// operation that meets a frozen slot first completes that key's migration
+// itself, so no update can be lost between freeze and install. When the
+// last chunk finishes, the root pointer advances.
 //
 // Seqlock cell. Each full slot carries a 32-bit meta word and two value
-// words (w0, w1; the codec maps V to and from them):
+// words (w0, w1):
 //
 //   - Readers load meta, then the words, then meta again; a stable,
 //     unlocked meta means the words are a consistent snapshot.
@@ -35,24 +43,39 @@ import (
 //     lets an update callback run exactly once, after the migration
 //     check, with no CAS-retry purity hazards; readers never block
 //     writers and spin only while a write is in flight (the same bounded
-//     window as the slotBusy spin in the box table). All word accesses
-//     are atomic loads/stores, so the seqlock is race-detector clean.
+//     window as the slotBusy spin). All word accesses are atomic
+//     loads/stores, so the seqlock is race-detector clean.
 //
 // The sequence field wraps after 2^27 writes to one slot; a reader would
 // have to sleep across exactly that many writes to be fooled (the
 // standard seqlock caveat, irrelevant at these lifetimes).
+
+// Slot states. Transitions: empty -> busy -> full (claim), and
+// empty -> moved (migration poisoning). Full slots stay full; their
+// migration status lives in the meta word.
+const (
+	slotEmpty uint32 = iota
+	slotBusy         // key being published by a claimer
+	slotFull         // key readable; meta and words hold the rest of the state
+	slotMoved        // poisoned empty slot: key absent here, look in next
+)
+
+// Meta flags. A ghost is the freeze of a claimed slot whose value had not
+// been published yet: unlike a frozen tombstone (moved|del), it says the
+// key never had a value in this table, so a pending install for it must
+// carry on to the next table rather than be dropped.
 const (
 	imLock  uint32 = 1 << 0 // writer (or freezer) holds the slot
 	imHas   uint32 = 1 << 1 // a value or tombstone has been published
 	imDel   uint32 = 1 << 2 // tombstone: key present in chain, mapping absent
 	imMoved uint32 = 1 << 3 // frozen by migration; words never change again
-	imGhost uint32 = 1 << 4 // frozen with no published value (see lockfree.go)
+	imGhost uint32 = 1 << 4 // frozen with no published value
 	imFlags uint32 = imLock | imHas | imDel | imMoved | imGhost
 	imSeq   uint32 = 1 << 5 // lowest sequence bit; bumped on every publish
 )
 
 type inSlot[K comparable] struct {
-	state  atomic.Uint32 // slotEmpty/slotBusy/slotFull/slotMoved, as in lockfree.go
+	state  atomic.Uint32 // slotEmpty/slotBusy/slotFull/slotMoved
 	meta   atomic.Uint32 // seqlock word: sequence | flags
 	key    K
 	w0, w1 atomic.Uint64 // encoded value, valid per the meta protocol
@@ -108,15 +131,20 @@ func (sl *inSlot[K]) publish(m, flags uint32) {
 	sl.meta.Store(((m &^ imFlags) + imSeq) | flags)
 }
 
+// migrateChunk is the number of slots one migration claim covers; small
+// enough that per-operation helpers finish a chunk quickly, large enough to
+// amortize the claim.
+const migrateChunk = 256
+
 type inTable[K comparable] struct {
 	slots  []inSlot[K]
 	mask   uint64
-	limit  int64
-	claims atomic.Int64
+	limit  int64        // claim count that triggers growth (3/4 of capacity)
+	claims atomic.Int64 // slots ever claimed (live + tombstoned keys)
 
 	next     atomic.Pointer[inTable[K]]
-	migClaim atomic.Int64
-	migDone  atomic.Int64
+	migClaim atomic.Int64 // next unclaimed migration chunk
+	migDone  atomic.Int64 // chunks fully migrated
 	nchunks  int64
 }
 
@@ -133,14 +161,21 @@ func newInTable[K comparable](capacity int) *inTable[K] {
 	}
 }
 
-// LockFreeInline is the inline-slot variant of LockFree for values that
-// encode into two 64-bit words (small PODs). Same concurrency contract as
-// LockFree: any mix of per-key operations from any number of goroutines,
-// including across a growth; Len/Range/Clear/Reserve are phase operations.
-// Update-style callbacks run exactly once per call, under the slot's write
-// lock, but must still be pure (they may be re-invoked when a migration
-// forces the operation to restart in the next table before the callback's
-// effect was published).
+// LockFreeInline is a lock-free, growable, phase-concurrent hash table for
+// values that encode into two 64-bit words (small PODs). Any mix of
+// Load/Store/Delete/Update/UpdateIf/UpdateAndGet/LoadOrStore may run from
+// any number of goroutines, including across a growth; the bulk operations
+// (Len, Range, Clear, Reserve, Flatten, AdvanceEpoch) are phase operations
+// that must not run concurrently with mutators.
+//
+// Update and UpdateAndGet run their callback exactly once per call, under
+// the slot's write lock and after the migration check, and always publish
+// its result (LoadOrStore has the same once-only decision). The callback
+// may therefore have side effects — the closest-pair grids link a point
+// into its cell's list from inside Update — but it must be short and must
+// not call back into the table. UpdateIf calls f up to twice: once in its
+// read-only pre-check and, if that asks for a write, once more under the
+// lock, where only the second call's answer counts.
 //
 // The zero value is not usable; construct with NewLockFreeInline.
 type LockFreeInline[K comparable, V any] struct {
@@ -162,9 +197,14 @@ func NewLockFreeInline[K comparable, V any](capacity int, hash Hasher[K],
 	return h
 }
 
+// hashOf applies a final mix so weak hashers (identity on already-spread
+// keys) still probe well in the low bits.
 func (h *LockFreeInline[K, V]) hashOf(k K) uint64 { return Mix64(h.hash(k)) }
 
-// inFindRead probes t for k without claiming; same contract as findRead.
+// inFindRead probes t for k without claiming. It returns the slot holding
+// k, or nil with descend=false when k is provably absent from t, or nil
+// with descend=true when the probe hit a poisoned slot (k's state lives in
+// t.next).
 //
 //ridt:noalloc
 func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], descend bool) {
@@ -175,7 +215,7 @@ func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], desc
 			case slotEmpty:
 				return nil, false
 			case slotBusy:
-				runtime.Gosched()
+				runtime.Gosched() // claimer is publishing the key; tiny window
 				continue
 			case slotMoved:
 				return nil, true
@@ -187,11 +227,14 @@ func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], desc
 			break
 		}
 	}
+	// Probed every slot without an empty: treat as a full table (can only
+	// happen transiently at extreme load); the key is not here.
 	return nil, false
 }
 
-// findClaim probes t for k, claiming the first empty slot if k is absent;
-// same contract as the box table's findClaim.
+// findClaim probes t for k, claiming the first empty slot if k is absent.
+// ok=false with descend=true means the probe hit a poisoned slot; ok=false
+// with descend=false means the table is over-full and must grow.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) findClaim(t *inTable[K], k K, hv uint64) (s *inSlot[K], descend, ok bool) {
@@ -201,7 +244,7 @@ func (h *LockFreeInline[K, V]) findClaim(t *inTable[K], k K, hv uint64) (s *inSl
 			switch sl.state.Load() {
 			case slotEmpty:
 				if !sl.state.CompareAndSwap(slotEmpty, slotBusy) {
-					continue
+					continue // lost the race; re-read the new state
 				}
 				sl.key = k
 				sl.state.Store(slotFull)
@@ -225,8 +268,13 @@ func (h *LockFreeInline[K, V]) findClaim(t *inTable[K], k K, hv uint64) (s *inSl
 	return nil, false, false
 }
 
+// grow links a next table of at least minCap (0 means double) under t and
+// helps migrate a little. Idempotent under races: only one next wins.
 func (h *LockFreeInline[K, V]) grow(t *inTable[K], minCap int) {
 	if t.next.Load() == nil {
+		// Small tables quadruple so a from-scratch fill pays O(log n)
+		// migration rounds over few slots; big ones double to bound the
+		// memory spike of a live migration.
 		factor := 4
 		if len(t.slots) >= 1<<16 {
 			factor = 2
@@ -237,15 +285,17 @@ func (h *LockFreeInline[K, V]) grow(t *inTable[K], minCap int) {
 		}
 		t.next.CompareAndSwap(nil, newInTable[K](want))
 	}
-	h.helpMigrate(t, 2)
+	h.helpMigrate(t, 2) // bounded help keeps per-op cost O(chunk)
 }
 
+// helpMigrate claims and migrates up to maxChunks chunks of t (all of them
+// when maxChunks <= 0) and advances the root when t is drained.
 func (h *LockFreeInline[K, V]) helpMigrate(t *inTable[K], maxChunks int) {
 	h.helpMigrateCtl(t, maxChunks, true)
 }
 
-// helpMigrateCtl is helpMigrate with the fault site controllable; the
-// nested help from installFrozen passes inject=false because its caller
+// helpMigrateCtl is helpMigrate with the fault site controllable: the
+// nested help from installFrozen passes inject=false, because its caller
 // may hold a claimed-but-unfinished chunk of the outer table, and an
 // injected death there would strand that chunk (the fault model only
 // kills participants *between* protocol steps).
@@ -255,9 +305,11 @@ func (h *LockFreeInline[K, V]) helpMigrateCtl(t *inTable[K], maxChunks int, inje
 		return
 	}
 	for done := 0; maxChunks <= 0 || done < maxChunks; done++ {
-		// Pre-claim fault site, as in LockFree.helpMigrate: a panic after
-		// the claim would strand the chunk and hang flatten; before it, the
-		// protocol is untouched.
+		// The fault site fires BEFORE the chunk claim: an injected panic
+		// after migClaim.Add but before migDone.Add would strand a claimed
+		// chunk no other helper can re-claim, freezing flatten forever.
+		// Before the claim, a panicking helper leaves the protocol exactly
+		// where it was — any other helper finishes the migration.
 		if inject && fault.Enabled {
 			fault.Inject(fault.TableMigrate)
 		}
@@ -317,8 +369,9 @@ func (h *LockFreeInline[K, V]) migrateSlot(sl *inSlot[K], nt *inTable[K]) {
 }
 
 // installFrozen writes a frozen value for k into nt, only if k has no
-// published state there yet; the exactly-once discipline of the box
-// table's installFrozen, with "no box" spelled "imHas clear".
+// published state there yet. Every operation that meets a frozen slot
+// calls this before continuing in nt, so the frozen value is installed
+// exactly once no matter who wins the race.
 func (h *LockFreeInline[K, V]) installFrozen(nt *inTable[K], k K, a, b uint64) {
 	hv := h.hashOf(k)
 	for {
@@ -345,6 +398,8 @@ func (h *LockFreeInline[K, V]) installFrozen(nt *inTable[K], k K, a, b uint64) {
 			return
 		}
 		if descend {
+			// nt is itself migrating past k's chain: if k never made it
+			// into nt, its frozen value belongs in nt's next table.
 			h.helpMigrateCtl(nt, 1, false)
 			nt = nt.next.Load()
 			continue
@@ -371,9 +426,10 @@ func (h *LockFreeInline[K, V]) Load(k K) (V, bool) {
 }
 
 // loadFrom is Load starting from a caller-pinned root table; snapshots
-// read through it (see Snapshot). Every value read goes through the
-// validated seqlock read, so a snapshot reader racing a writer storm can
-// spin but never observe torn words.
+// read through it, so a pinned (possibly superseded) root resolves moved
+// entries forward through the chain exactly like a live Load. Every value
+// read goes through the validated seqlock read, so a snapshot reader
+// racing a writer storm can spin but never observe torn words.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) loadFrom(t *inTable[K], k K) (V, bool) {
@@ -412,9 +468,16 @@ func (h *LockFreeInline[K, V]) loadFrom(t *inTable[K], k K) (V, bool) {
 	return zero, false
 }
 
-// loadAfterFreeze mirrors the box table's loadAfterFreeze: it
-// distinguishes "not migrated yet" from "present" and "deleted since",
-// chasing nested migrations.
+type loadStatus int
+
+const (
+	loadMiss    loadStatus = iota // no state anywhere: key never reached these tables
+	loadHit                       // live value found
+	loadDeleted                   // tombstone found: key definitively absent
+)
+
+// loadAfterFreeze distinguishes "not migrated yet" (miss) from "present"
+// and "deleted since migration", chasing nested migrations.
 func (h *LockFreeInline[K, V]) loadAfterFreeze(t *inTable[K], k K, hv uint64) (V, loadStatus) {
 	var zero V
 	for t != nil {
@@ -435,7 +498,9 @@ func (h *LockFreeInline[K, V]) loadAfterFreeze(t *inTable[K], k K, hv uint64) (V
 				return nv, st
 			}
 			if m&imGhost != 0 {
-				return zero, loadMiss // key never had a value here
+				// A ghost says the key never had a value here: whatever
+				// frozen value is in limbo upstream is still current.
+				return zero, loadMiss
 			}
 			if m&imDel != 0 {
 				return zero, loadDeleted
@@ -450,11 +515,12 @@ func (h *LockFreeInline[K, V]) loadAfterFreeze(t *inTable[K], k K, hv uint64) (V
 	return zero, loadMiss
 }
 
-// apply is the shared write path behind Store/Update/Delete/LoadOrStore.
-// f maps the current state to (new value, write?); returning write=false
-// leaves the slot as is. f runs exactly once, under the slot's write lock,
-// after the migration check — but may be re-invoked if the operation must
-// restart in the next table, so it must still be pure.
+// apply is the shared write path behind Store/Update/UpdateIf/
+// UpdateAndGet/LoadOrStore. f maps the current state to (new value,
+// write?); returning write=false leaves the slot as is. f runs exactly
+// once per call, under the slot's write lock, after the migration check:
+// a frozen slot restarts the probe in the next table before f is called,
+// and once f has run its answer is published and apply returns.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) apply(k K, f func(old V, present bool) (V, bool)) {
@@ -552,17 +618,24 @@ func (h *LockFreeInline[K, V]) Delete(k K) {
 	}
 }
 
-// Update applies f to the current value for k and stores the result.
-// Winning writes allocate nothing (no value box). Same purity contract as
-// the box table's Update.
+// Update applies f to the current value for k (zero value and ok=false if
+// absent) and stores the result. f runs exactly once, under the slot's
+// write lock (see the type doc). The write allocates nothing.
 func (h *LockFreeInline[K, V]) Update(k K, f func(old V, ok bool) V) {
 	h.apply(k, func(old V, present bool) (V, bool) {
 		return f(old, present), true
 	})
 }
 
-// UpdateIf is Update with a leave-as-is escape hatch; both the no-op path
-// (a plain read) and the write path are allocation-free.
+// UpdateIf is Update with a leave-as-is escape hatch: f returns the value
+// to store and whether to store it. When f reports false the table is left
+// untouched, and the no-op path is a plain read — no slot claim for absent
+// keys, no lock, no allocation. A declined op linearizes at that read. When
+// the pre-check asks for a write, f runs a second time under the slot
+// lock against the current value and may still decline there (a racing
+// writer got ahead); declining on a slot just claimed for an absent key
+// publishes a tombstone, which migration drops. f runs up to twice, so it
+// must be pure. Both paths are allocation-free.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
@@ -573,7 +646,7 @@ func (h *LockFreeInline[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
 	h.apply(k, f)
 }
 
-// UpdateAndGet is Update returning the stored value.
+// UpdateAndGet is Update returning the stored value; f runs exactly once.
 func (h *LockFreeInline[K, V]) UpdateAndGet(k K, f func(old V, ok bool) V) V {
 	var res V
 	h.apply(k, func(old V, present bool) (V, bool) {
@@ -584,7 +657,9 @@ func (h *LockFreeInline[K, V]) UpdateAndGet(k K, f func(old V, ok bool) V) V {
 }
 
 // LoadOrStore returns the existing value for k if present; otherwise it
-// stores and returns v.
+// stores and returns v. loaded is true if the value was already present.
+// This is a priority write: the first writer wins and every racer observes
+// the winner's value.
 func (h *LockFreeInline[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 	h.apply(k, func(old V, present bool) (V, bool) {
 		if present {
@@ -597,10 +672,12 @@ func (h *LockFreeInline[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 	return actual, loaded
 }
 
-// Flatten drives any in-flight migration to completion. Phase operation:
-// callers must quiesce mutators first. Exported for the same reason as
-// LockFree.Flatten: after an abandoned or faulted round, it proves the
-// table is migration-free and fully usable.
+// Flatten drives any in-flight migration to completion, so the root table
+// is a plain flat array. Phase operation: callers must quiesce mutators
+// first. Bulk operations (Len, Range, Clear, ...) call it implicitly; it
+// is exported so cancellation and crash-recovery paths can prove a table
+// is migration-free — and hence fully usable by per-key and bulk
+// operations alike — after a round is abandoned mid-growth.
 func (h *LockFreeInline[K, V]) Flatten() {
 	h.assertQuiesced("Flatten")
 	h.flatten()
@@ -613,9 +690,13 @@ func (h *LockFreeInline[K, V]) flatten() *inTable[K] {
 		if t.next.Load() == nil {
 			return t
 		}
+		// Chunk claims are atomic, so pool workers compose with any
+		// straggling per-op helpers; extra iterations no-op on an empty
+		// claim counter.
 		parallel.ForGrain(0, int(t.nchunks), 1, func(int) {
 			h.helpMigrate(t, 1)
 		})
+		// Wait for chunks claimed by outside helpers to drain.
 		for t.migDone.Load() < t.nchunks {
 			runtime.Gosched()
 		}
@@ -639,15 +720,15 @@ func (h *LockFreeInline[K, V]) advanceRoot() {
 	}
 }
 
-// Len returns the number of live entries. Phase operation.
+// Len returns the number of live entries. Phase operation: callers must
+// quiesce mutators first. The count runs on the parallel pool.
 //
 // Meta and value words go through the validated seqlock read even though
 // the phase contract says no writer can be in flight: Len shares its
 // sweep discipline with the Snapshot path, which has no such contract,
 // and the quiesced-case cost of sl.read() is the same two meta loads a
-// racing reader would pay (the bug this fixes was a raw meta load that
-// silently relied on the contract — a torn count the moment it was
-// violated).
+// racing reader would pay (a raw meta load would silently rely on the
+// contract — a torn count the moment it was violated).
 func (h *LockFreeInline[K, V]) Len() int {
 	h.assertQuiesced("Len")
 	t := h.flatten()
@@ -669,9 +750,10 @@ func (h *LockFreeInline[K, V]) Len() int {
 	return int(parallel.Sum(counts))
 }
 
-// Range calls f for every entry until f returns false. Phase operation.
-// Reads are seqlock-validated, as in Len: a racing writer can no longer
-// hand f a value spliced from two different writes.
+// Range calls f for every entry until f returns false. Phase operation;
+// the iteration is sequential so early stop is exact. Reads are
+// seqlock-validated, as in Len: a racing writer cannot hand f a value
+// spliced from two different writes.
 func (h *LockFreeInline[K, V]) Range(f func(k K, v V) bool) {
 	h.assertQuiesced("Range")
 	t := h.flatten()
@@ -714,9 +796,11 @@ func (h *LockFreeInline[K, V]) Reserve(capacity int) {
 }
 
 // AdvanceEpoch flattens the table (phase operation) and bumps the epoch,
-// reclaiming retired slot arrays no open snapshot can reference; see
-// LockFree.AdvanceEpoch. The Delaunay round engine calls it on the face
-// map at each committed round boundary.
+// reclaiming retired slot arrays no open snapshot can reference. The
+// Delaunay round engine calls it on the face map at each committed round
+// boundary, which is what makes a snapshot taken after it complete: a
+// flattened root holds every key committed so far, so a post-boundary
+// Snap.Range misses nothing.
 func (h *LockFreeInline[K, V]) AdvanceEpoch() uint64 {
 	h.assertQuiesced("AdvanceEpoch")
 	if fault.Enabled {
@@ -726,11 +810,12 @@ func (h *LockFreeInline[K, V]) AdvanceEpoch() uint64 {
 	return h.advance()
 }
 
-// inSnap is LockFreeInline's snapshot: an O(1) pin of the root table plus
-// an epoch registration keeping retired slot arrays alive (see epoch.go).
+// inSnap is the table's snapshot: an O(1) pin of the root table plus an
+// epoch registration keeping retired slot arrays alive (see epoch.go).
 // All reads go through the validated seqlock read, so snapshot readers
 // racing a writer storm spin through in-flight writes but never observe
-// torn words.
+// torn words; moved entries resolve forward through the chain like a live
+// Load.
 type inSnap[K comparable, V any] struct {
 	snapRef
 	h    *LockFreeInline[K, V]
@@ -753,8 +838,11 @@ func (s *inSnap[K, V]) Load(k K) (V, bool) {
 }
 
 // visit calls f for every entry visible from the pinned root until f
-// returns false; moved slots resolve forward through the chain (same
-// contract as lfSnap.visit).
+// returns false. A moved slot's key is resolved forward through the
+// chain; keys that never existed in the pinned root (inserted into a
+// successor after the pin) are not visited — which is exactly the keys
+// newer than the snapshot when the pin was taken at a flattened epoch
+// boundary.
 func (s *inSnap[K, V]) visit(f func(k K, v V) bool) {
 	t := s.root
 	for i := range t.slots {
@@ -801,12 +889,7 @@ func (s *inSnap[K, V]) Range(f func(k K, v V) bool) {
 	s.visit(f)
 }
 
-// Codecs for the common small-POD value shapes.
-
-// EncInt32/DecInt32 encode an int32 value (the SCC canonicalize minima).
+// EncInt32/DecInt32 are the codec for int32 values (the SCC canonicalize
+// minima, the closest-pair cell heads).
 func EncInt32(v int32) (uint64, uint64) { return uint64(uint32(v)), 0 }
 func DecInt32(a, _ uint64) int32        { return int32(uint32(a)) }
-
-// EncInt/DecInt encode an int value (used by the oracle/fuzz suites).
-func EncInt(v int) (uint64, uint64) { return uint64(v), 0 }
-func DecInt(a, _ uint64) int        { return int(a) }

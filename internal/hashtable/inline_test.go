@@ -1,17 +1,20 @@
 package hashtable
 
-// Tests specific to the seqlock inline-slot table: torn-read stress (the
-// seqlock's whole job is multi-word consistency), allocation pins for the
-// write paths (the reason the table exists), and a phase-stress run with
-// exact final contents, mirroring stress_test.go. The oracle and fuzz
-// suites also replay every stream through LockFreeInline (oracle_test.go,
-// fuzz_test.go).
+// Tests of the table's seqlock slots and callback contract: torn-read
+// stress (the seqlock's whole job is multi-word consistency), allocation
+// pins for the write paths, growth with tombstones, and the exactly-once
+// Update callback the closest-pair grids build their cell lists on. The
+// phase stress (stress_test.go), the oracle and fuzz suites
+// (oracle_test.go, fuzz_test.go) and the shared Table suite
+// (lockfree_test.go) cover the rest.
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // pairVal is a two-word POD whose halves must always be observed
@@ -24,6 +27,10 @@ const pairMagic = 0x9e3779b97f4a7c15
 
 func encPair(v pairVal) (uint64, uint64) { return v.a, v.b }
 func decPair(a, b uint64) pairVal        { return pairVal{a, b} }
+
+// EncInt/DecInt are the int codec the suites build their tables with.
+func EncInt(v int) (uint64, uint64) { return uint64(v), 0 }
+func DecInt(a, _ uint64) int        { return int(a) }
 
 func newInlinePair(capacity int) *LockFreeInline[int, pairVal] {
 	return NewLockFreeInline[int, pairVal](capacity,
@@ -189,83 +196,59 @@ func TestInlineGrowth(t *testing.T) {
 	}
 }
 
-// TestInlineStressPhases is stress_test.go's exact-contents phase stress
-// run against the inline table.
-func TestInlineStressPhases(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	if p < 4 {
-		p = 4
-	}
-	perG, incs, shared := 2000, 500, 97
-	if testing.Short() {
-		perG, incs = 400, 100
-	}
-	m := newInlineInt(2)
-	bar := newBarrier(p)
-	var wg sync.WaitGroup
-	errs := make(chan string, p)
-	for g := 0; g < p; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				k := g*perG + i
-				m.Store(k, k+1)
+// TestInlineUpdateExactlyOnce pins the callback contract the closest-pair
+// grids build on: Update and UpdateAndGet run their callback exactly once
+// per call, so a callback may push its op onto an intrusive per-key list
+// (next[i] = displaced head). The table starts at capacity 1 and keys keep
+// arriving throughout, so the pushes race several migrations; afterwards
+// every callback ran once and each key's list holds exactly its ops.
+func TestInlineUpdateExactlyOnce(t *testing.T) {
+	const n, keys = 20000, 2048
+	m := NewLockFreeInline[int, int32](1, func(k int) uint64 { return Mix64(uint64(k)) },
+		EncInt32, DecInt32)
+	keyOf := func(i int) int { return int(Mix64(uint64(i)) % keys) }
+	calls := make([]atomic.Int32, n)
+	next := make([]int32, n)
+	push := func(i int32) func(int32, bool) int32 {
+		return func(head int32, ok bool) int32 {
+			calls[i].Add(1)
+			if !ok {
+				head = -1
 			}
-			for i := 0; i < incs; i++ {
-				m.Update(1_000_000+i%shared, func(old int, ok bool) int { return old + 1 })
-			}
-			bar.await()
-			for i := 0; i < perG; i++ {
-				k := ((g+1)%p)*perG + i
-				if v, ok := m.Load(k); !ok || v != k+1 {
-					errs <- "phase2 missing or wrong key"
-					break
-				}
-			}
-			bar.await()
-			for i := 0; i < perG; i++ {
-				k := g*perG + i
-				if k%2 == 1 {
-					m.Delete(k)
-				} else {
-					m.Update(k, func(old int, ok bool) int { return old * 2 })
-				}
-			}
-			bar.await()
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	n := p * perG
-	wantLen := n/2 + shared
-	if got := m.Len(); got != wantLen {
-		t.Fatalf("Len=%d want %d", got, wantLen)
-	}
-	for k := 0; k < n; k++ {
-		v, ok := m.Load(k)
-		if k%2 == 1 {
-			if ok {
-				t.Fatalf("deleted key %d still present (=%d)", k, v)
-			}
-			continue
-		}
-		if !ok || v != (k+1)*2 {
-			t.Fatalf("key %d = (%d,%v), want %d", k, v, ok, (k+1)*2)
+			next[i] = head
+			return i
 		}
 	}
-	total := 0
-	for i := 0; i < shared; i++ {
-		v, ok := m.Load(1_000_000 + i)
+	parallel.For(0, n, func(i int) {
+		if i%2 == 0 {
+			m.Update(keyOf(i), push(int32(i)))
+		} else if got := m.UpdateAndGet(keyOf(i), push(int32(i))); got != int32(i) {
+			t.Errorf("UpdateAndGet for op %d returned %d", i, got)
+		}
+	})
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("op %d ran its callback %d times, want 1", i, c)
+		}
+	}
+	want := make(map[int]int, keys)
+	for i := 0; i < n; i++ {
+		want[keyOf(i)]++
+	}
+	for k, cnt := range want {
+		head, ok := m.Load(k)
 		if !ok {
-			t.Fatalf("shared counter %d missing", i)
+			t.Fatalf("key %d missing", k)
 		}
-		total += v
-	}
-	if total != p*incs {
-		t.Fatalf("shared counters lost increments: total=%d want %d", total, p*incs)
+		got := 0
+		for j := head; j >= 0; j = next[j] {
+			if keyOf(int(j)) != k || got > cnt {
+				t.Fatalf("key %d: list reaches op %d (key %d) after %d of %d ops", k, j, keyOf(int(j)), got, cnt)
+			}
+			got++
+		}
+		if got != cnt {
+			t.Fatalf("key %d: list holds %d ops, want %d", k, got, cnt)
+		}
 	}
 }

@@ -7,32 +7,18 @@ import (
 	"repro/internal/parallel"
 )
 
-// implementations returns both Table implementations over int keys/values,
-// constructed small so the lock-free table must grow under the tests.
+// implementations returns the production table and the sharded oracle over
+// int keys/values, constructed small so the lock-free table must grow under
+// the tests.
 func implementations() map[string]func() Table[int, int] {
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
 	return map[string]func() Table[int, int]{
-		"sharded":  func() Table[int, int] { return New[int, int](8, 64, hash) },
-		"lockfree": func() Table[int, int] { return NewLockFree[int, int](4, hash) },
+		"sharded": func() Table[int, int] { return New[int, int](8, 64, hash) },
+		"inline":  func() Table[int, int] { return newInlineInt(4) },
 	}
 }
 
-// TestLockFreeUpdateIfNoAlloc pins the property UpdateIf exists for (the
-// ROADMAP value-box item): the leave-as-is path is allocation-free — no
-// value box, no slot claim for absent keys, not even the apply closure.
-func TestLockFreeUpdateIfNoAlloc(t *testing.T) {
-	m := NewLockFree[int32, int32](64, func(k int32) uint64 { return Mix64(uint64(uint32(k))) })
-	m.Store(7, 1)
-	decline := func(old int32, ok bool) (int32, bool) { return old, false }
-	if allocs := testing.AllocsPerRun(200, func() { m.UpdateIf(7, decline) }); allocs != 0 {
-		t.Errorf("present-key no-op path allocated %.1f objects per op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { m.UpdateIf(1234, decline) }); allocs != 0 {
-		t.Errorf("absent-key no-op path allocated %.1f objects per op, want 0", allocs)
-	}
-}
-
-// TestTableSuite runs the semantics shared by both implementations.
+// TestTableSuite runs the semantics shared by the table and the oracle.
 func TestTableSuite(t *testing.T) {
 	for name, mk := range implementations() {
 		t.Run(name, func(t *testing.T) {
@@ -213,7 +199,7 @@ func TestTableSuite(t *testing.T) {
 func TestLockFreeGrowth(t *testing.T) {
 	// Insert far past the initial capacity from many goroutines; every key
 	// must survive the migrations.
-	m := NewLockFree[int, int](1, func(k int) uint64 { return Mix64(uint64(k)) })
+	m := newInlineInt(1)
 	const n = 50000
 	parallel.For(0, n, func(i int) { m.Store(i, i+1) })
 	if m.Len() != n {
@@ -226,31 +212,10 @@ func TestLockFreeGrowth(t *testing.T) {
 	})
 }
 
-func TestLockFreeAppendCOW(t *testing.T) {
-	// The face-map / grid pattern on the lock-free table: concurrent
-	// appends must copy (pure update functions), and no element may be
-	// lost.
-	m := NewLockFree[int, []int32](16, func(k int) uint64 { return Mix64(uint64(k)) })
-	const n = 50000
-	parallel.For(0, n, func(i int) {
-		m.Update(i%7, func(old []int32, _ bool) []int32 {
-			ns := make([]int32, len(old)+1)
-			copy(ns, old)
-			ns[len(old)] = int32(i)
-			return ns
-		})
-	})
-	var total atomic.Int64
-	m.RangePar(func(k int, v []int32) { total.Add(int64(len(v))) })
-	if total.Load() != n {
-		t.Fatalf("lost appends: %d want %d", total.Load(), n)
-	}
-}
-
 func TestLockFreePriorityWrite(t *testing.T) {
 	// LoadOrStore is a priority write: exactly one writer per key wins and
 	// everyone observes the winner.
-	m := NewLockFree[int, int](8, func(k int) uint64 { return Mix64(uint64(k)) })
+	m := newInlineInt(8)
 	const n, keys = 20000, 64
 	won := make([]atomic.Int64, keys)
 	observed := make([]int64, n)
@@ -277,7 +242,7 @@ func TestLockFreePriorityWrite(t *testing.T) {
 }
 
 func TestLockFreeReserve(t *testing.T) {
-	m := NewLockFree[int, int](1, func(k int) uint64 { return Mix64(uint64(k)) })
+	m := newInlineInt(1)
 	for i := 0; i < 10; i++ {
 		m.Store(i, i)
 	}

@@ -1,8 +1,8 @@
 package hashtable
 
 // Oracle equivalence tests: randomized operation streams are replayed
-// against a plain Go map (the oracle), the sharded Map, and the LockFree
-// table, asserting identical observable behavior op by op — the testing
+// against a plain Go map (the oracle), the sharded Map, and LockFreeInline,
+// asserting identical observable behavior op by op — the testing
 // discipline of the RunType2Seq equivalence suite applied to the table.
 // Table capacities are chosen tiny so the lock-free replays cross several
 // forced resizes.
@@ -44,8 +44,7 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 		tab.Delete(key)
 		delete(oracle, key)
 	case opUpdate:
-		// Update semantics: absent -> val, present -> old+val. Pure, as the
-		// lock-free contract requires.
+		// Update semantics: absent -> val, present -> old+val.
 		tab.Update(key, func(old int, ok bool) int {
 			if !ok {
 				return val
@@ -129,9 +128,8 @@ func TestOracleEquivalence(t *testing.T) {
 	impls := func() map[string]Table[int, int] {
 		hash := func(k int) uint64 { return Mix64(uint64(k)) }
 		return map[string]Table[int, int]{
-			"sharded":  New[int, int](8, 16, hash),
-			"lockfree": NewLockFree[int, int](2, hash), // tiny: forces resizes
-			"inline":   NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
+			"sharded": New[int, int](8, 16, hash),
+			"inline":  newInlineInt(2), // tiny: forces resizes
 		}
 	}
 	for _, cfg := range []struct {
@@ -160,64 +158,13 @@ func TestOracleEquivalence(t *testing.T) {
 	}
 }
 
-// TestOracleSliceValues replays the face-map/grid value shape (slices under
-// Update-append) against the oracle, with copy-on-write appends as the
-// lock-free contract requires.
-func TestOracleSliceValues(t *testing.T) {
-	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	impls := map[string]Table[int, []int32]{
-		"sharded":  New[int, []int32](8, 16, hash),
-		"lockfree": NewLockFree[int, []int32](2, hash),
-	}
-	for impl, tab := range impls {
-		r := rng.New(7)
-		oracle := map[int][]int32{}
-		const keys, steps = 97, 6000
-		for step := 0; step < steps; step++ {
-			key := int(r.Uint64() % keys)
-			switch r.Uint64() % 4 {
-			case 0, 1, 2: // append-heavy, like grid inserts
-				v := int32(step)
-				tab.Update(key, func(old []int32, _ bool) []int32 {
-					ns := make([]int32, len(old)+1)
-					copy(ns, old)
-					ns[len(old)] = v
-					return ns
-				})
-				oracle[key] = append(oracle[key], v)
-			case 3:
-				tab.Delete(key)
-				delete(oracle, key)
-			}
-		}
-		if tab.Len() != len(oracle) {
-			t.Fatalf("%s: Len=%d oracle=%d", impl, tab.Len(), len(oracle))
-		}
-		for k, want := range oracle {
-			got, ok := tab.Load(k)
-			if !ok || len(got) != len(want) {
-				t.Fatalf("%s: Load(%d) len=%d ok=%v, oracle len=%d", impl, k, len(got), ok, len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: key %d element %d = %d, oracle %d", impl, k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestOracleImplsAgree replays one stream through all three
-// implementations side by side and asserts they agree with each other
-// (not just the oracle) on every returned value — the sharded map is the
-// reference implementation for both lock-free tables.
+// TestOracleImplsAgree replays one stream through the sharded map and
+// LockFreeInline side by side and asserts they agree with each other (not
+// just the oracle) on every returned value — the sharded map is the
+// reference implementation for the lock-free table.
 func TestOracleImplsAgree(t *testing.T) {
-	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	a := New[int, int](4, 8, hash)
-	others := map[string]Table[int, int]{
-		"lockfree": NewLockFree[int, int](2, hash),
-		"inline":   NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
-	}
+	a := New[int, int](4, 8, func(k int) uint64 { return Mix64(uint64(k)) })
+	b := newInlineInt(2)
 	r := rng.New(11)
 	const keys, steps = 512, 20000
 	for step := 0; step < steps; step++ {
@@ -227,22 +174,15 @@ func TestOracleImplsAgree(t *testing.T) {
 		switch op {
 		case opStore:
 			a.Store(key, val)
-			for _, b := range others {
-				b.Store(key, val)
-			}
+			b.Store(key, val)
 		case opLoad:
 			av, aok := a.Load(key)
-			for impl, b := range others {
-				bv, bok := b.Load(key)
-				if av != bv || aok != bok {
-					t.Fatalf("step %d: Load(%d) sharded (%d,%v) %s (%d,%v)", step, key, av, aok, impl, bv, bok)
-				}
+			if bv, bok := b.Load(key); av != bv || aok != bok {
+				t.Fatalf("step %d: Load(%d) sharded (%d,%v) inline (%d,%v)", step, key, av, aok, bv, bok)
 			}
 		case opDelete:
 			a.Delete(key)
-			for _, b := range others {
-				b.Delete(key)
-			}
+			b.Delete(key)
 		case opUpdate:
 			f := func(old int, ok bool) int {
 				if !ok {
@@ -250,39 +190,28 @@ func TestOracleImplsAgree(t *testing.T) {
 				}
 				return old*3 + val
 			}
-			av := a.UpdateAndGet(key, f)
-			for impl, b := range others {
-				bv := b.UpdateAndGet(key, f)
-				if av != bv {
-					t.Fatalf("step %d: UpdateAndGet(%d) sharded %d %s %d", step, key, av, impl, bv)
-				}
+			if av, bv := a.UpdateAndGet(key, f), b.UpdateAndGet(key, f); av != bv {
+				t.Fatalf("step %d: UpdateAndGet(%d) sharded %d inline %d", step, key, av, bv)
 			}
 		case opLoadOrStore:
 			av, al := a.LoadOrStore(key, val)
-			for impl, b := range others {
-				bv, bl := b.LoadOrStore(key, val)
-				if av != bv || al != bl {
-					t.Fatalf("step %d: LoadOrStore(%d) sharded (%d,%v) %s (%d,%v)", step, key, av, al, impl, bv, bl)
-				}
+			if bv, bl := b.LoadOrStore(key, val); av != bv || al != bl {
+				t.Fatalf("step %d: LoadOrStore(%d) sharded (%d,%v) inline (%d,%v)", step, key, av, al, bv, bl)
 			}
 		case opGrowBurst:
 			for i := 0; i < 64; i++ {
 				a.Store(key+i, i)
-				for _, b := range others {
-					b.Store(key+i, i)
-				}
+				b.Store(key+i, i)
 			}
 		}
 	}
-	for impl, b := range others {
-		if a.Len() != b.Len() {
-			t.Fatalf("final Len: sharded %d %s %d", a.Len(), impl, b.Len())
-		}
-		a.Range(func(k, v int) bool {
-			if bv, ok := b.Load(k); !ok || bv != v {
-				t.Fatalf("key %d: sharded %d, %s (%d,%v)", k, v, impl, bv, ok)
-			}
-			return true
-		})
+	if a.Len() != b.Len() {
+		t.Fatalf("final Len: sharded %d inline %d", a.Len(), b.Len())
 	}
+	a.Range(func(k, v int) bool {
+		if bv, ok := b.Load(k); !ok || bv != v {
+			t.Fatalf("key %d: sharded %d, inline (%d,%v)", k, v, bv, ok)
+		}
+		return true
+	})
 }

@@ -51,40 +51,37 @@ func BenchmarkSnapshotReadLoad(b *testing.B) {
 // excluded — its snapshot is a frozen copy, so writers cost it nothing
 // by construction (and the copy itself is priced by SnapshotOpen below).
 func BenchmarkSnapshotReadUnderWrites(b *testing.B) {
-	for _, name := range []string{"lockfree", "inline"} {
-		mk := benchTables(benchN)[name]
-		b.Run("impl="+name, func(b *testing.B) {
-			m := mk()
-			for k := 0; k < benchN; k++ {
-				m.Store(uint64(k), int64(k))
+	b.Run("impl=inline", func(b *testing.B) {
+		m := benchTables(benchN)["inline"]()
+		for k := 0; k < benchN; k++ {
+			m.Store(uint64(k), int64(k))
+		}
+		m.AdvanceEpoch()
+		s := m.Snapshot()
+		defer s.Close()
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for k := uint64(0); !stop.Load(); k++ {
+				m.Store(k%benchN, int64(k))
 			}
-			m.AdvanceEpoch()
-			s := m.Snapshot()
-			defer s.Close()
-			var stop atomic.Bool
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for k := uint64(0); !stop.Load(); k++ {
-					m.Store(k%benchN, int64(k))
+		}()
+		b.ResetTimer()
+		var sink atomic.Int64
+		for i := 0; i < b.N; i++ {
+			var local atomic.Int64
+			parallel.ForGrain(0, benchN, 256, func(k int) {
+				if v, ok := s.Load(uint64(k)); ok {
+					local.Add(v)
 				}
-			}()
-			b.ResetTimer()
-			var sink atomic.Int64
-			for i := 0; i < b.N; i++ {
-				var local atomic.Int64
-				parallel.ForGrain(0, benchN, 256, func(k int) {
-					if v, ok := s.Load(uint64(k)); ok {
-						local.Add(v)
-					}
-				})
-				sink.Store(local.Load())
-			}
-			b.StopTimer()
-			stop.Store(true)
-			<-done
-		})
-	}
+			})
+			sink.Store(local.Load())
+		}
+		b.StopTimer()
+		stop.Store(true)
+		<-done
+	})
 }
 
 // BenchmarkSnapshotReadRange sweeps every entry visible to a snapshot:
@@ -112,8 +109,8 @@ func BenchmarkSnapshotReadRange(b *testing.B) {
 }
 
 // BenchmarkSnapshotOpen prices Snapshot+Close itself: O(1) pin/unpin on
-// the lock-free tables, an O(n) frozen copy on the sharded map (the
-// honest cost of its oracle-grade semantics).
+// the lock-free table, an O(n) frozen copy on the sharded map (the honest
+// cost of its oracle-grade semantics).
 func BenchmarkSnapshotOpen(b *testing.B) {
 	for name, mk := range benchTables(benchN) {
 		b.Run("impl="+name, func(b *testing.B) {

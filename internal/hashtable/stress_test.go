@@ -1,6 +1,6 @@
 package hashtable
 
-// Deterministic -race stress test: GOMAXPROCS goroutines hammer one
+// Deterministic -race stress test: GOMAXPROCS goroutines hammer the
 // lock-free table through a phase barrier. Each phase's workload is chosen
 // so the final contents are computable in closed form regardless of
 // interleaving, so the test asserts exact state, not just absence of
@@ -45,7 +45,7 @@ func (b *barrier) await() {
 	b.mu.Unlock()
 }
 
-func TestStressPhases(t *testing.T) {
+func TestInlineStressPhases(t *testing.T) {
 	p := runtime.GOMAXPROCS(0)
 	if p < 4 {
 		p = 4 // concurrency even on single-core CI hosts
@@ -56,7 +56,7 @@ func TestStressPhases(t *testing.T) {
 	}
 	// Start tiny so phase 1 forces several cooperative migrations under
 	// full contention.
-	m := NewLockFree[int, int](2, func(k int) uint64 { return Mix64(uint64(k)) })
+	m := newInlineInt(2)
 	bar := newBarrier(p)
 	var wg sync.WaitGroup
 	errs := make(chan string, p)

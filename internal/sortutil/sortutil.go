@@ -169,23 +169,6 @@ func Semisort(n int, key func(i int) uint64) []Group {
 	return out
 }
 
-// Dedup returns the distinct values among xs, in unspecified order, via
-// the sharded semisort — expected O(n) work instead of the O(n log n)
-// sort-then-uniq it replaces. It is the generic bulk-dedup primitive;
-// consumers that can piggyback a claim on a shared-memory write they
-// already perform — the Delaunay round engine's per-face round stamp —
-// skip even this pass (see internal/delaunay/DESIGN.md and its
-// BenchmarkDelaunayRoundDedup ablation). SCC's combine needs grouping
-// with per-group contents, not dedup, and keeps Semisort directly.
-func Dedup(xs []uint64) []uint64 {
-	gs := Semisort(len(xs), func(i int) uint64 { return xs[i] })
-	out := make([]uint64, len(gs))
-	for i, g := range gs {
-		out[i] = g.Key
-	}
-	return out
-}
-
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -170,32 +170,3 @@ func TestSemisortQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDedup(t *testing.T) {
-	f := func(keys []uint16) bool {
-		xs := make([]uint64, len(keys))
-		for i, k := range keys {
-			xs[i] = uint64(k % 64) // force collisions
-		}
-		got := Dedup(xs)
-		want := map[uint64]bool{}
-		for _, x := range xs {
-			want[x] = true
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for _, x := range got {
-			if !want[x] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-	if got := Dedup(nil); len(got) != 0 {
-		t.Fatalf("Dedup(nil) = %v", got)
-	}
-}
