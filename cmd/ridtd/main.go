@@ -8,7 +8,7 @@
 //
 //	ridtd [-n N] [-seed S] [-readers R] [-builds B] [-report D]
 //	      [-procs P] [-timeout D]
-//	      [-checkpoint DIR] [-checkpoint-every N] [-checkpoint-chain K]
+//	      [-checkpoint DIR] [-checkpoint-every N]
 //	      [-restore] [-scrub] [-scrub-every D]
 //
 // Each build triangulates a fresh n-point instance to completion; with
@@ -21,22 +21,22 @@
 // With -checkpoint the daemon commits a crash-safe checkpoint of the
 // build every -checkpoint-every committed rounds, from the published
 // snapshot, on a background goroutine — the build never stalls for
-// durability. Checkpoints are INCREMENTAL by default: up to
-// -checkpoint-chain delta generations (each holding only the log suffix
-// past the previous generation plus the mutable remainder) are committed
-// between full images; -checkpoint-chain 0 forces every generation to be
-// a full image. After a crash (or SIGKILL), -restore resumes the
-// interrupted build from the newest valid generation — resolving deltas
-// through their base chain and falling back past any broken link; by the
-// engine's determinism contract the resumed build finishes byte-identical
-// to an uninterrupted one, which the per-build "digest=" line makes
-// checkable across processes.
+// durability. Checkpoints are incremental: a root generation holds the
+// whole build, and up to checkpoint.DefaultMaxChain link generations
+// after it each hold only the log suffix past the previous generation
+// plus the mutable remainder. After a crash (or SIGKILL), -restore
+// resumes the interrupted build from the newest valid generation —
+// resolving links through their base chain and falling back past any
+// broken link; by the engine's determinism contract the resumed build
+// finishes byte-identical to an uninterrupted one, which the per-build
+// "digest=" line makes checkable across processes. A directory written
+// by an older checkpoint format version does not restore (exit 2).
 //
 // -scrub-every D runs the self-healing scrubber in the background every
 // D: each pass re-reads every generation with a full decode+validate,
 // renames provably corrupt files to ckpt-<gen>.bad (quarantine, never
-// silent deletion), promotes the newest restorable state to a fresh full
-// image when the chain head was lost, and rewrites the advisory MANIFEST.
+// silent deletion), promotes the newest restorable state to a fresh root
+// when the chain head was lost, and rewrites the advisory MANIFEST.
 // -scrub runs exactly one such pass and exits (the CI/cron shape);
 // outcomes are counted in the periodic report and the final summary.
 package main
@@ -90,7 +90,6 @@ func run(args []string, out, errOut io.Writer, sigs <-chan os.Signal) int {
 	timeout := fs.Duration("timeout", 0, "cancel the run after this duration and exit 3 (0 = no deadline)")
 	ckptDir := fs.String("checkpoint", "", "directory for crash-safe build checkpoints (empty = disabled)")
 	ckptEvery := fs.Int("checkpoint-every", 16, "committed rounds between checkpoints")
-	ckptChain := fs.Int("checkpoint-chain", checkpoint.DefaultMaxChain, "max delta generations between full checkpoint images (0 = full images only)")
 	restore := fs.Bool("restore", false, "resume the interrupted build from the newest valid checkpoint in -checkpoint")
 	scrubOnce := fs.Bool("scrub", false, "run one scrub pass over -checkpoint (verify, quarantine, repair) and exit")
 	scrubEvery := fs.Duration("scrub-every", 0, "background scrub-pass interval (0 = no scrubbing)")
@@ -111,10 +110,6 @@ func run(args []string, out, errOut io.Writer, sigs <-chan os.Signal) int {
 	}
 	if *ckptEvery < 1 {
 		fmt.Fprintln(errOut, "ridtd: -checkpoint-every must be at least 1")
-		return 2
-	}
-	if *ckptChain < 0 {
-		fmt.Fprintln(errOut, "ridtd: -checkpoint-chain must be non-negative")
 		return 2
 	}
 	if *restore && *ckptDir == "" {
@@ -185,7 +180,6 @@ func run(args []string, out, errOut io.Writer, sigs <-chan os.Signal) int {
 			fmt.Fprintf(errOut, "ridtd: %v\n", err)
 			return 2
 		}
-		w.SetMaxChain(*ckptChain)
 		saver = newCkptSaver(w, errOut)
 		defer saver.close()
 		if *scrubEvery > 0 {
@@ -272,8 +266,8 @@ type ckptSaver struct {
 	ch         chan ckptReq
 	done       chan struct{}
 	errOut     io.Writer
-	saved      atomic.Int64 // committed generations (full + delta)
-	savedDelta atomic.Int64 // of those, incremental ones
+	saved      atomic.Int64 // committed generations (roots + links)
+	savedDelta atomic.Int64 // of those, links
 	dropped    atomic.Int64 // captures skipped because the saver was busy
 	failed     atomic.Int64 // save attempts that errored or panicked
 }

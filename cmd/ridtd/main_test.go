@@ -242,7 +242,6 @@ func TestRunRestoreFlagErrors(t *testing.T) {
 		{"-scrub"},
 		{"-scrub-every", "1s"},
 		{"-checkpoint", "x", "-scrub-every", "-1s"},
-		{"-checkpoint", "x", "-checkpoint-chain", "-1"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut, nil); code != 2 {

@@ -22,18 +22,16 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	b.SetBytes(int64(len(Encode(st, Meta{}))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Save(st, Meta{Seed: 77, Build: 1}); err != nil {
-			b.Fatal(err)
-		}
+		saveRoot(b, w, st, Meta{Seed: 77, Build: 1})
 	}
 }
 
-// BenchmarkCheckpointDeltaWrite prices one incremental save: the same
-// state cadence as BenchmarkCheckpointWrite's full image, but serialized
-// as a delta over the previous boundary. The writer's chain tip is reset
-// to the base before every iteration so each save is the SAME one-round
-// delta — this is the number that must sit well below the full-image
-// write for the incremental scheme to pay for itself.
+// BenchmarkCheckpointDeltaWrite prices one link save: the same state
+// cadence as BenchmarkCheckpointWrite's root, but serialized as a link
+// over the previous boundary. The writer's chain tip is reset to the
+// base before every iteration so each save is the SAME one-round link —
+// this is the number that must sit well below the root write for the
+// incremental scheme to pay for itself.
 func BenchmarkCheckpointDeltaWrite(b *testing.B) {
 	st1, _ := midState(b, 77, 1<<13, 6)
 	st2, _ := midState(b, 77, 1<<13, 7)
@@ -43,17 +41,11 @@ func BenchmarkCheckpointDeltaWrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	meta := Meta{Seed: 77, Build: 1}
-	if _, err := w.Save(st1, meta); err != nil {
-		b.Fatal(err)
-	}
+	saveRoot(b, w, st1, meta)
 	w.mu.Lock()
 	tip := *w.tip // chain tip for st1's generation
 	w.mu.Unlock()
-	path, err := w.SaveDelta(st2, meta)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if fi, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(saveLink(b, w, st2, meta)); err == nil {
 		b.SetBytes(fi.Size())
 	}
 	b.ResetTimer()
@@ -62,15 +54,13 @@ func BenchmarkCheckpointDeltaWrite(b *testing.B) {
 		tc := tip
 		w.tip = &tc
 		w.mu.Unlock()
-		if _, err := w.SaveDelta(st2, meta); err != nil {
-			b.Fatal(err)
-		}
+		saveLink(b, w, st2, meta)
 	}
 }
 
-// BenchmarkCheckpointDeltaRestore prices restoring through a base-plus-
-// delta chain (full image + 3 deltas): read + decode + per-link chain
-// verification + ApplyDelta joins + final structural validation.
+// BenchmarkCheckpointDeltaRestore prices restoring through a chain (a
+// root + 3 links): read + decode + structural validation per image, then
+// per-link chain verification and ApplyDelta joins.
 func BenchmarkCheckpointDeltaRestore(b *testing.B) {
 	run := newLiveRun(b, 77, 1<<13)
 	run.step(b, 4)
@@ -80,17 +70,11 @@ func BenchmarkCheckpointDeltaRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	meta := Meta{Seed: 77, Build: 1}
-	if _, err := w.Save(run.lv.CaptureState(), meta); err != nil {
-		b.Fatal(err)
-	}
+	saveRoot(b, w, run.lv.CaptureState(), meta)
 	var total int64
 	for i := 0; i < 3; i++ {
 		run.step(b, 1)
-		path, err := w.SaveDelta(run.lv.CaptureState(), meta)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if fi, err := os.Stat(path); err == nil {
+		if fi, err := os.Stat(saveLink(b, w, run.lv.CaptureState(), meta)); err == nil {
 			total += fi.Size()
 		}
 	}
@@ -110,11 +94,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path, err := w.Save(st, Meta{Seed: 77, Build: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if fi, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(saveRoot(b, w, st, Meta{Seed: 77, Build: 1})); err == nil {
 		b.SetBytes(fi.Size())
 	}
 	b.ResetTimer()

@@ -1,8 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -27,17 +25,16 @@ const (
 
 	// keepGenerations bounds the on-disk history: the newest
 	// keepGenerations generations are retained as restore TIPS, plus —
-	// chains — every base a retained delta transitively needs. Older tips
+	// chains — every base a retained link transitively needs. Older tips
 	// exist only as fallbacks past a corrupt newest file; three levels
 	// survive a crash mid-commit plus one bad generation with room to
 	// spare.
 	keepGenerations = 3
 
-	// DefaultMaxChain is the delta-chain length cap: after this many
-	// deltas since the last full image, SaveAuto writes a full image. The
-	// cap bounds both restore work (each link re-digests its base) and the
-	// blast radius of a lost base — a chain is only as durable as its
-	// oldest link.
+	// DefaultMaxChain is the chain length cap: after this many links
+	// since the last root, SaveAuto writes a root. The cap bounds both
+	// restore work (each link re-digests its base) and the blast radius of
+	// a lost base — a chain is only as durable as its oldest link.
 	DefaultMaxChain = 8
 )
 
@@ -52,15 +49,15 @@ func parseGen(name string) (uint64, bool) {
 }
 
 // chainTip is the writer's record of its newest committed generation:
-// everything a subsequent delta needs to bind to it (identity, watermark,
+// everything a subsequent link needs to bind to it (identity, watermark,
 // running prefix digests) plus the chain length for the SaveAuto policy.
 type chainTip struct {
-	gen    uint64
-	meta   Meta
-	wm     delaunay.Watermark
-	crcT   uint32 // CRC32C over the committed triangle-corner stream
-	crcF   uint32 // CRC32C over the committed final-id stream
-	deltas int    // deltas since the last full image
+	gen   uint64
+	meta  Meta
+	wm    delaunay.Watermark
+	crcT  uint32 // CRC32C over the committed triangle-corner stream
+	crcF  uint32 // CRC32C over the committed final-id stream
+	links int    // links since the last root
 }
 
 // Writer commits checkpoint generations to a directory. Generation
@@ -68,22 +65,20 @@ type chainTip struct {
 // numbering above everything already on disk, so "newest" is always
 // well-defined by filename alone.
 //
-// A Writer serializes its operations internally (Save, SaveDelta,
-// SaveAuto, Scrub may be called from different goroutines); the intended
-// topology is one saver goroutine fed snapshots by the build's publisher,
-// with a scrubber sharing the writer.
+// A Writer serializes its operations internally (SaveAuto and Scrub may
+// be called from different goroutines); the intended topology is one
+// saver goroutine fed snapshots by the build's publisher, with a
+// scrubber sharing the writer.
 type Writer struct {
-	mu       sync.Mutex
-	dir      string
-	gen      uint64 // next generation to write
-	maxChain int
-	tip      *chainTip
+	mu  sync.Mutex
+	dir string
+	gen uint64 // next generation to write
+	tip *chainTip
 }
 
 // NewWriter opens (creating if needed) dir for checkpoint commits and
 // removes any temp files a crashed predecessor left behind. A fresh
-// writer has no chain tip: its first incremental save requires a full
-// image first (SaveAuto handles this; SaveDelta reports ErrNoBase).
+// writer has no chain tip, so its first save is a root.
 func NewWriter(dir string) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
@@ -92,7 +87,7 @@ func NewWriter(dir string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: scan dir: %w", err)
 	}
-	w := &Writer{dir: dir, gen: 1, maxChain: DefaultMaxChain}
+	w := &Writer{dir: dir, gen: 1}
 	for _, ent := range ents {
 		if strings.HasPrefix(ent.Name(), tmpPrefix) {
 			os.Remove(filepath.Join(dir, ent.Name())) // crashed mid-write; never committed
@@ -108,122 +103,75 @@ func NewWriter(dir string) (*Writer, error) {
 // Dir returns the directory this writer commits to.
 func (w *Writer) Dir() string { return w.dir }
 
-// SetMaxChain adjusts the delta-chain length cap. n <= 0 disables
-// incremental saves entirely: SaveAuto always writes full images.
-func (w *Writer) SetMaxChain(n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.maxChain = n
-}
-
-// Save encodes st+meta and commits it as the next generation — always a
-// FULL image: write-temp, fsync, rename, fsync-dir, then the manifest by
-// the same protocol. On any error (including injected ones) the temp
-// file is removed and the directory still holds only fully committed
-// generations. Returns the committed file path.
+// SaveAuto commits a captured (complete) state as the next generation —
+// a link over the writer's chain tip when the tip belongs to the same run
+// and the chain is shorter than DefaultMaxChain, a root otherwise — and
+// returns the committed path and which role was written. The commit is
+// write-temp, fsync, rename, fsync-dir, then the manifest by the same
+// protocol. On any error (including injected ones) the temp file is
+// removed and the directory still holds only fully committed
+// generations.
 //
 // Fault sites: CheckpointFrame fires before each frame write,
 // CheckpointCommit before each step of the commit sequence — so the
 // ridtfault suites can force an I/O error or crash at every distinct
 // point of the protocol.
-func (w *Writer) Save(st *delaunay.BuildState, meta Meta) (string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.saveFull(st, meta)
-}
-
-// SaveDelta commits st as an incremental generation over the writer's
-// current chain tip. It reports ErrNoBase when no compatible tip exists —
-// fresh writer, a different run's metadata, or a state behind the tip's
-// watermark — and the caller falls back to Save. Fault sites: DeltaFrame
-// per frame write, CheckpointCommit per commit step.
-func (w *Writer) SaveDelta(st *delaunay.BuildState, meta Meta) (string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.saveDelta(st, meta)
-}
-
-// SaveAuto commits st as a delta when the chain policy allows it (a
-// compatible tip exists and the chain is shorter than the cap) and as a
-// full image otherwise, returning the committed path and which kind was
-// written. This is the daemon's save entry point.
 func (w *Writer) SaveAuto(st *delaunay.BuildState, meta Meta) (string, Kind, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.maxChain > 0 && w.tip != nil && w.tip.deltas < w.maxChain {
-		path, err := w.saveDelta(st, meta)
-		if err == nil {
-			return path, KindDelta, nil
-		}
-		if !errors.Is(err, ErrNoBase) {
-			return "", 0, err
-		}
+	base := w.tip
+	if base != nil && (base.meta != meta || base.links >= DefaultMaxChain) {
+		base = nil
 	}
-	path, err := w.saveFull(st, meta)
-	return path, KindFull, err
+	path, err := w.save(st, meta, base)
+	if err != nil {
+		return "", 0, err
+	}
+	if w.tip.links == 0 {
+		return path, KindFull, nil
+	}
+	return path, KindDelta, nil
 }
 
-func (w *Writer) saveFull(st *delaunay.BuildState, meta Meta) (string, error) {
+// save commits st as a link over base, or as a root when base is nil or
+// st does not extend base's watermark (a regressed or unrelated build),
+// and makes the committed generation the chain tip. The caller holds
+// w.mu.
+func (w *Writer) save(st *delaunay.BuildState, meta Meta, base *chainTip) (string, error) {
+	img, ch, links := st, Chain{}, 0
+	if base != nil {
+		if d, err := st.DeltaSince(base.wm); err == nil {
+			img, links = d, base.links+1
+			ch = Chain{BaseGen: base.gen, CRCTris: base.crcT, CRCFinal: base.crcF}
+		}
+	}
 	gen := w.gen
-	final, err := w.commitImage(gen, encodeFrames(st, meta), fault.CheckpointFrame)
+	path, err := w.commitImage(gen, encodeFrames(img, meta, ch))
 	if err != nil {
 		return "", err
 	}
 	w.gen = gen + 1
+	// The tip's running digests extend over just the image's own log:
+	// O(link) bookkeeping, matching the O(link) encode.
 	w.tip = &chainTip{
-		gen:  gen,
-		meta: meta,
-		wm:   st.Watermark(),
-		crcT: crcTris(0, st.Tris),
-		crcF: crcFinal(0, st.Final),
+		gen:   gen,
+		meta:  meta,
+		wm:    st.Watermark(),
+		crcT:  crcTris(ch.CRCTris, img.Tris),
+		crcF:  crcFinal(ch.CRCFinal, img.Final),
+		links: links,
 	}
 	w.prune(gen)
-	return final, nil
-}
-
-func (w *Writer) saveDelta(st *delaunay.BuildState, meta Meta) (string, error) {
-	tip := w.tip
-	if tip == nil {
-		return "", fmt.Errorf("%w: writer has no committed generation", ErrNoBase)
-	}
-	if tip.meta != meta {
-		return "", fmt.Errorf("%w: tip is run %+v, state is run %+v", ErrNoBase, tip.meta, meta)
-	}
-	d, err := st.DeltaSince(tip.wm)
-	if err != nil {
-		// A state behind the tip (a regressed or unrelated build) is a
-		// policy miss, not an I/O failure: report it as no-base so the
-		// caller falls back to a full image.
-		return "", fmt.Errorf("%w: %v", ErrNoBase, err)
-	}
-	gen := w.gen
-	ch := Chain{BaseGen: tip.gen, CRCTris: tip.crcT, CRCFinal: tip.crcF}
-	final, err := w.commitImage(gen, encodeDeltaFrames(d, meta, ch), fault.DeltaFrame)
-	if err != nil {
-		return "", err
-	}
-	w.gen = gen + 1
-	// The tip's running digests extend over just the suffix: O(delta)
-	// bookkeeping, matching the O(delta) encode.
-	w.tip = &chainTip{
-		gen:    gen,
-		meta:   meta,
-		wm:     st.Watermark(),
-		crcT:   crcTris(tip.crcT, d.Tris),
-		crcF:   crcFinal(tip.crcF, d.Final),
-		deltas: tip.deltas + 1,
-	}
-	w.prune(gen)
-	return final, nil
+	return path, nil
 }
 
 // commitImage runs the atomic-commit protocol for one encoded generation:
-// temp write (frameSite fires per frame), fsync, rename, fsync-dir,
-// manifest. Returns the committed path.
-func (w *Writer) commitImage(gen uint64, frames [][]byte, frameSite fault.Site) (string, error) {
+// temp write, fsync, rename, fsync-dir, manifest. Returns the committed
+// path.
+func (w *Writer) commitImage(gen uint64, frames [][]byte) (string, error) {
 	final := filepath.Join(w.dir, ckptName(gen))
 	tmp := filepath.Join(w.dir, tmpPrefix+ckptName(gen))
-	if err := writeTemp(tmp, frames, frameSite); err != nil {
+	if err := writeTemp(tmp, frames); err != nil {
 		os.Remove(tmp)
 		return "", err
 	}
@@ -241,8 +189,8 @@ func (w *Writer) commitImage(gen uint64, frames [][]byte, frameSite fault.Site) 
 }
 
 // writeTemp writes and fsyncs one image to path, frame by frame, firing
-// site before each frame write.
-func writeTemp(path string, frames [][]byte, site fault.Site) error {
+// CheckpointFrame before each frame write.
+func writeTemp(path string, frames [][]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: create temp: %w", err)
@@ -252,7 +200,7 @@ func writeTemp(path string, frames [][]byte, site fault.Site) error {
 		return fmt.Errorf("checkpoint: write preamble: %w", err)
 	}
 	for _, fr := range frames {
-		if err := fault.InjectErr(site); err != nil {
+		if err := fault.InjectErr(fault.CheckpointFrame); err != nil {
 			return fmt.Errorf("checkpoint: write frame: %w", err)
 		}
 		if _, err := f.Write(fr); err != nil {
@@ -311,57 +259,29 @@ func commitStep(step func() error) error {
 	return step()
 }
 
-// readImageInfo reads just enough of a committed file to classify it: the
-// preamble and the first (CRC-checked) frame. For a delta it returns the
-// chain binding; decoding the whole file is not needed to know what it
-// depends on, which is what keeps chain-aware pruning cheap.
-func readImageInfo(path string) (Kind, Chain, error) {
+// readHeader reads a committed file's preamble and header frame only:
+// the state it returns holds just the scalars and the base watermark.
+func readHeader(path string) (*delaunay.BuildState, Chain, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, Chain{}, err
+		return nil, Chain{}, err
 	}
 	defer f.Close()
-	buf := make([]byte, 16+5+dhdrLen+4)
+	buf := make([]byte, 16+5+hdrLen+4)
 	n, err := io.ReadFull(f, buf)
 	if err != nil && err != io.ErrUnexpectedEOF {
-		return 0, Chain{}, err
+		return nil, Chain{}, err
 	}
-	buf = buf[:n]
-	if err := checkPreamble(buf); err != nil {
-		return 0, Chain{}, err
-	}
-	if len(buf) < 17 {
-		return 0, Chain{}, fmt.Errorf("%w: no frame after the preamble", ErrTruncated)
-	}
-	d := &decoder{b: buf, off: 16}
-	switch buf[16] {
-	case fDeltaHeader:
-		hdr, err := d.nextFrame(fDeltaHeader)
-		if err != nil {
-			return 0, Chain{}, err
-		}
-		if len(hdr) != dhdrLen {
-			return 0, Chain{}, fmt.Errorf("%w: delta header frame is %d bytes, want %d", ErrFrameSize, len(hdr), dhdrLen)
-		}
-		return KindDelta, Chain{
-			BaseGen:  binary.LittleEndian.Uint64(hdr[hdrLen : hdrLen+8]),
-			CRCTris:  binary.LittleEndian.Uint32(hdr[hdrLen+28 : hdrLen+32]),
-			CRCFinal: binary.LittleEndian.Uint32(hdr[hdrLen+32 : hdrLen+36]),
-		}, nil
-	default:
-		if _, err := d.nextFrame(fHeader); err != nil {
-			return 0, Chain{}, err
-		}
-		return KindFull, Chain{}, nil
-	}
+	st, _, ch, err := (&decoder{b: buf[:n]}).header()
+	return st, ch, err
 }
 
 // prune removes generations no longer reachable from a retained tip: the
 // newest keepGenerations generations stay as restore tips, and every base
-// a retained delta transitively records stays with them — deleting a base
-// from under a live delta would orphan the whole chain, which is exactly
+// a retained link transitively records stays with them — deleting a base
+// from under a live link would orphan the whole chain, which is exactly
 // the failure the scrubber exists to repair, not one pruning may cause.
-// Best-effort: a prune failure never fails a Save.
+// Best-effort: a prune failure never fails a save.
 func (w *Writer) prune(newest uint64) {
 	ents, err := os.ReadDir(w.dir)
 	if err != nil {
@@ -382,14 +302,14 @@ func (w *Writer) prune(newest uint64) {
 	for _, t := range tips {
 		g := t
 		// The walk is bounded: each hop strictly decreases g, and a hop
-		// into an unreadable or full image stops the chain.
+		// into an unreadable file or a root stops the chain.
 		for steps := 0; steps <= len(gens); steps++ {
 			if keep[g] {
 				break
 			}
 			keep[g] = true
-			kind, ch, err := readImageInfo(filepath.Join(w.dir, ckptName(g)))
-			if err != nil || kind != KindDelta || ch.BaseGen >= g {
+			hdr, ch, err := readHeader(filepath.Join(w.dir, ckptName(g)))
+			if err != nil || hdr.Base == (delaunay.Watermark{}) || ch.BaseGen >= g {
 				break
 			}
 			g = ch.BaseGen
@@ -427,29 +347,63 @@ func readManifest(dir string) (uint64, bool) {
 	return g, err == nil
 }
 
-// resolver memoizes chain resolution across Restore's fallback walk: each
-// generation is read, decoded, and (for deltas) joined to its base at
-// most once, whether it is visited as a tip or as another delta's base.
-type resolver struct {
-	dir   string
-	cache map[uint64]*resolved
-}
-
+// resolved is one generation's outcome: the complete state it restores
+// to, or why it does not.
 type resolved struct {
 	st   *delaunay.BuildState
 	meta Meta
 	err  error
 }
 
-func (r *resolver) resolve(g uint64) (*delaunay.BuildState, Meta, error) {
-	if c, ok := r.cache[g]; ok {
-		return c.st, c.meta, c.err
+// join resolves a decoded image of generation g to the complete state
+// it stands for. A root is that state already. A link is joined onto its
+// base, which base(gen) resolves, after every bond the writer recorded is
+// verified: generation order, run identity, watermark, and the prefix
+// digests that tie the link to the base's CONTENT. Restore and Scrub
+// differ only in how they resolve a base.
+func join(g uint64, st *delaunay.BuildState, meta Meta, ch Chain, base func(uint64) (*resolved, error)) (*delaunay.BuildState, error) {
+	if st.Base == (delaunay.Watermark{}) {
+		return st, nil
 	}
-	// Reserve the slot before recursing: a malformed self-referential
-	// chain then fails the baseGen<g check rather than recursing.
-	st, meta, err := r.resolveFile(g)
-	r.cache[g] = &resolved{st: st, meta: meta, err: err}
-	return st, meta, err
+	if ch.BaseGen >= g {
+		return nil, fmt.Errorf("%w: link %016x names base %016x (not older)", ErrDeltaChain, g, ch.BaseGen)
+	}
+	b, err := base(ch.BaseGen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: base %016x: %w", ErrDeltaChain, ch.BaseGen, err)
+	}
+	if b.meta != meta {
+		return nil, fmt.Errorf("%w: base %016x is run %+v, link is run %+v", ErrDeltaChain, ch.BaseGen, b.meta, meta)
+	}
+	if got := b.st.Watermark(); got != st.Base {
+		return nil, fmt.Errorf("%w: base %016x watermark %+v, link recorded %+v", ErrDeltaChain, ch.BaseGen, got, st.Base)
+	}
+	if crcTris(0, b.st.Tris) != ch.CRCTris || crcFinal(0, b.st.Final) != ch.CRCFinal {
+		return nil, fmt.Errorf("%w: base %016x content digest mismatch", ErrDeltaChain, ch.BaseGen)
+	}
+	out, err := delaunay.ApplyDelta(b.st, st)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrDeltaChain, err)
+	}
+	return out, nil
+}
+
+// resolver memoizes chain resolution across Restore's fallback walk: each
+// generation is read, decoded, and (for links) joined to its base at
+// most once, whether it is visited as a tip or as another link's base.
+type resolver struct {
+	dir   string
+	cache map[uint64]*resolved
+}
+
+func (r *resolver) resolve(g uint64) (*resolved, error) {
+	c, ok := r.cache[g]
+	if !ok {
+		c = &resolved{}
+		c.st, c.meta, c.err = r.resolveFile(g)
+		r.cache[g] = c
+	}
+	return c, c.err
 }
 
 func (r *resolver) resolveFile(g uint64) (*delaunay.BuildState, Meta, error) {
@@ -457,53 +411,23 @@ func (r *resolver) resolveFile(g uint64) (*delaunay.BuildState, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	img, err := DecodeAny(data)
+	st, meta, ch, err := Decode(data)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	if img.Kind == KindFull {
-		if err := img.State.Validate(); err != nil {
-			return nil, Meta{}, err
-		}
-		return img.State, img.Meta, nil
-	}
-	// A delta: resolve its base, then verify every bond the writer
-	// recorded — generation order, run identity, watermark, and the
-	// prefix digests that tie the delta to the base's CONTENT.
-	if img.Chain.BaseGen >= g {
-		return nil, Meta{}, fmt.Errorf("%w: delta %016x names base %016x (not older)", ErrDeltaChain, g, img.Chain.BaseGen)
-	}
-	base, bmeta, err := r.resolve(img.Chain.BaseGen)
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("%w: base %016x: %v", ErrDeltaChain, img.Chain.BaseGen, err)
-	}
-	if bmeta != img.Meta {
-		return nil, Meta{}, fmt.Errorf("%w: base %016x is run %+v, delta is run %+v", ErrDeltaChain, img.Chain.BaseGen, bmeta, img.Meta)
-	}
-	if got := base.Watermark(); got != img.Delta.Base {
-		return nil, Meta{}, fmt.Errorf("%w: base %016x watermark %+v, delta recorded %+v", ErrDeltaChain, img.Chain.BaseGen, got, img.Delta.Base)
-	}
-	if crcTris(0, base.Tris) != img.Chain.CRCTris || crcFinal(0, base.Final) != img.Chain.CRCFinal {
-		return nil, Meta{}, fmt.Errorf("%w: base %016x content digest mismatch", ErrDeltaChain, img.Chain.BaseGen)
-	}
-	st, err := delaunay.ApplyDelta(base, img.Delta)
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("%w: %v", ErrDeltaChain, err)
-	}
-	if err := st.Validate(); err != nil {
-		return nil, Meta{}, err
-	}
-	return st, img.Meta, nil
+	st, err = join(g, st, meta, ch, r.resolve)
+	return st, meta, err
 }
 
 // Restore loads the newest fully valid checkpoint from dir: the
 // manifest's generation first (it is a hint, verified like any other),
-// then every on-disk generation newest-first. A delta generation is
+// then every on-disk generation newest-first. A link generation is
 // resolved through its recorded base chain with every link verified
 // (decode, structural validation, watermark, run metadata, prefix
 // digests); a tip whose chain is broken anywhere is skipped — falling
-// back to the next generation, so a corrupt delta never orphans the
-// still-valid base below it. Returns ErrNoCheckpoint if the directory
+// back to the next generation, so a corrupt link never orphans the
+// still-valid base below it. An image of another format version fails
+// like a corrupt one (wrapping ErrBadVersion). Returns ErrNoCheckpoint if the directory
 // holds no checkpoint files at all, and a joined error if every
 // generation present is corrupt.
 func Restore(dir string) (*delaunay.BuildState, Meta, error) {
@@ -538,12 +462,12 @@ func Restore(dir string) (*delaunay.BuildState, Meta, error) {
 	res := &resolver{dir: dir, cache: make(map[uint64]*resolved, len(gens))}
 	var lastErr error
 	for _, g := range gens {
-		st, meta, err := res.resolve(g)
+		c, err := res.resolve(g)
 		if err != nil {
 			lastErr = fmt.Errorf("%s: %w", ckptName(g), err)
 			continue
 		}
-		return st, meta, nil
+		return c.st, c.meta, nil
 	}
 	return nil, Meta{}, fmt.Errorf("checkpoint: all %d generations invalid: %w", len(gens), lastErr)
 }

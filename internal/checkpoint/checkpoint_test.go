@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/delaunay"
@@ -86,12 +89,12 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	st, want := midState(t, 11, 600, 3)
 	meta := Meta{Seed: 11, Build: 4}
 	img := Encode(st, meta)
-	got, gotMeta, err := Decode(img)
+	got, gotMeta, ch, err := Decode(img)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if gotMeta != meta {
-		t.Fatalf("meta roundtrip: %+v vs %+v", gotMeta, meta)
+	if gotMeta != meta || ch != (Chain{}) {
+		t.Fatalf("binding roundtrip: meta %+v vs %+v, chain %+v", gotMeta, meta, ch)
 	}
 	stateEqual(t, got, st)
 	if err := got.Validate(); err != nil {
@@ -113,7 +116,7 @@ func TestDecodeTruncationEveryByte(t *testing.T) {
 	st, _ := midState(t, 3, 200, 2)
 	img := Encode(st, Meta{Seed: 3})
 	for cut := 0; cut < len(img); cut++ {
-		if _, _, err := Decode(img[:cut]); err == nil {
+		if _, _, _, err := Decode(img[:cut]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded successfully", cut, len(img))
 		}
 	}
@@ -128,7 +131,7 @@ func TestDecodeBitFlips(t *testing.T) {
 	for pos := 0; pos < len(img); pos += 7 {
 		bad := append([]byte(nil), img...)
 		bad[pos] ^= 0x40
-		if _, _, err := Decode(bad); err == nil {
+		if _, _, _, err := Decode(bad); err == nil {
 			t.Fatalf("byte flip at %d/%d decoded successfully", pos, len(img))
 		}
 	}
@@ -141,12 +144,12 @@ func TestSaveRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	path, err := w.Save(st, Meta{Seed: 21, Build: 1})
+	path, kind, err := w.SaveAuto(st, Meta{Seed: 21, Build: 1})
 	if err != nil {
-		t.Fatalf("Save: %v", err)
+		t.Fatalf("SaveAuto: %v", err)
 	}
-	if filepath.Base(path) != ckptName(1) {
-		t.Fatalf("first save landed at %s, want generation 1", path)
+	if filepath.Base(path) != ckptName(1) || kind != KindFull {
+		t.Fatalf("first save landed at %s as %v, want a root at generation 1", path, kind)
 	}
 	got, meta, err := Restore(dir)
 	if err != nil {
@@ -161,8 +164,9 @@ func TestSaveRestore(t *testing.T) {
 }
 
 // TestRestoreFallsBackPastCorruption: with the newest generation mangled
-// (and the manifest pointing at it), Restore must land on the previous
-// one — generation-by-generation fallback.
+// (and the manifest pointing at it), and the one below it a CRC-valid
+// root holding a NaN point, Restore must land on the oldest one —
+// generation-by-generation fallback past both kinds of corruption.
 func TestRestoreFallsBackPastCorruption(t *testing.T) {
 	dir := t.TempDir()
 	stA, _ := midState(t, 5, 400, 2)
@@ -171,18 +175,27 @@ func TestRestoreFallsBackPastCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	if _, err := w.Save(stA, Meta{Build: 1}); err != nil {
+	if _, _, err := w.SaveAuto(stA, Meta{Build: 1}); err != nil {
 		t.Fatalf("Save A: %v", err)
 	}
-	pathB, err := w.Save(stB, Meta{Build: 2})
+	// SaveAuto encodes without validating, so a poisoned state commits
+	// as a well-formed, CRC-valid root; only validation can catch it.
+	nan := *stB
+	nan.Pts = append([]geom.Point(nil), stB.Pts...)
+	nan.Pts[7].X = math.NaN()
+	pathNaN, _, err := w.SaveAuto(&nan, Meta{Build: 3})
+	if err != nil {
+		t.Fatalf("Save NaN root: %v", err)
+	}
+	if _, _, _, err := Decode(mustRead(t, pathNaN)); !errors.Is(err, ErrInvalidState) {
+		t.Fatalf("Decode(NaN root) = %v, want ErrInvalidState", err)
+	}
+	pathB, _, err := w.SaveAuto(stB, Meta{Build: 2})
 	if err != nil {
 		t.Fatalf("Save B: %v", err)
 	}
 	// Corrupt the newest file in place.
-	data, err := os.ReadFile(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := mustRead(t, pathB)
 	data[len(data)/2] ^= 0xff
 	if err := os.WriteFile(pathB, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -192,7 +205,7 @@ func TestRestoreFallsBackPastCorruption(t *testing.T) {
 		t.Fatalf("Restore with corrupt newest: %v", err)
 	}
 	if meta.Build != 1 || got.Round != stA.Round {
-		t.Fatalf("restored build %d round %d, want the older generation (build 1, round %d)",
+		t.Fatalf("restored build %d round %d, want the oldest generation (build 1, round %d)",
 			meta.Build, got.Round, stA.Round)
 	}
 	// With every generation corrupt, the error is not ErrNoCheckpoint.
@@ -202,6 +215,45 @@ func TestRestoreFallsBackPastCorruption(t *testing.T) {
 	}
 	if _, _, err := Restore(dir); err == nil || errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("Restore over all-corrupt dir: %v", err)
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestVersion1DirectoryRejected: a directory written by the retired
+// version 1 format (the committed seed-v1-full image) does not restore —
+// Restore wraps ErrBadVersion — and a scrub pass quarantines the file by
+// rename, deleting nothing.
+func TestVersion1DirectoryRejected(t *testing.T) {
+	raw := string(mustRead(t, filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", "seed-v1-full")))
+	lit, ok := strings.CutPrefix(strings.TrimSpace(raw), "go test fuzz v1\n[]byte(")
+	v1, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if !ok || err != nil {
+		t.Fatalf("seed-v1-full is not a corpus entry: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Restore(dir); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("Restore(v1 dir) = %v, want ErrBadVersion", err)
+	}
+	w, err := NewWriter(dir)
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	if res, err := w.Scrub(); err != nil || res.Quarantined != 1 || res.NewestOK {
+		t.Fatalf("Scrub(v1 dir) = %+v, %v; want the one file quarantined", res, err)
+	}
+	if got := mustRead(t, filepath.Join(dir, ckptName(1)+badSuffix)); string(got) != v1 {
+		t.Fatal("quarantine changed the v1 file's bytes")
 	}
 }
 
@@ -225,7 +277,7 @@ func TestGenerationNumbering(t *testing.T) {
 		t.Fatalf("NewWriter: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := w.Save(st, Meta{Build: uint64(i)}); err != nil {
+		if _, _, err := w.SaveAuto(st, Meta{Build: uint64(i)}); err != nil {
 			t.Fatalf("Save %d: %v", i, err)
 		}
 	}
@@ -255,7 +307,7 @@ func TestGenerationNumbering(t *testing.T) {
 	if _, err := os.Stat(litter); !os.IsNotExist(err) {
 		t.Fatal("restart did not clean temp litter")
 	}
-	p, err := w2.Save(st, Meta{Build: 9})
+	p, _, err := w2.SaveAuto(st, Meta{Build: 9})
 	if err != nil {
 		t.Fatalf("Save after restart: %v", err)
 	}

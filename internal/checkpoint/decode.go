@@ -72,8 +72,7 @@ func countedPayload(name string, payload []byte, elemSize int) (int, []byte, err
 	return int(cnt), body, nil
 }
 
-// checkPreamble validates the fixed 16-byte file header shared by full
-// and delta images.
+// checkPreamble validates the fixed 16-byte file header.
 func checkPreamble(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("%w: %d bytes, need a 16-byte preamble", ErrTruncated, len(data))
@@ -93,96 +92,135 @@ func checkPreamble(data []byte) error {
 	return nil
 }
 
-// scalars is the parsed shared prefix of a full or delta header frame.
-type scalars struct {
-	round int32
-	done  bool
-	n     int
-	meta  Meta
-	stats delaunay.Stats
-	pred  geom.PredicateStats
-}
-
-// parseScalars decodes the first hdrLen bytes of a header payload (the
-// fields full and delta headers share).
-func parseScalars(hdr []byte) (scalars, error) {
-	var s scalars
-	s.round = int32(binary.LittleEndian.Uint32(hdr[0:4]))
-	if hdr[4] > 1 {
-		return s, fmt.Errorf("%w: done flag is %d", ErrFrameSize, hdr[4])
+// header checks the preamble and parses the header frame into a state
+// holding only the scalars and the base watermark, plus the run metadata
+// and chain binding. Reading no further is what keeps chain-aware
+// pruning cheap: it learns what a link depends on from this prefix alone.
+func (d *decoder) header() (*delaunay.BuildState, Meta, Chain, error) {
+	var meta Meta
+	var ch Chain
+	if err := checkPreamble(d.b); err != nil {
+		return nil, meta, ch, err
 	}
-	s.done = hdr[4] != 0
-	n := binary.LittleEndian.Uint64(hdr[5:13])
-	if n > maxFramePayload/16 {
-		return s, fmt.Errorf("%w: header declares %d points", ErrFrameSize, n)
-	}
-	s.n = int(n)
-	s.meta.Seed = binary.LittleEndian.Uint64(hdr[13:21])
-	s.meta.Build = binary.LittleEndian.Uint64(hdr[21:29])
-	s.stats.InCircleTests = int64(binary.LittleEndian.Uint64(hdr[29:37]))
-	s.stats.TrianglesCreated = int64(binary.LittleEndian.Uint64(hdr[37:45]))
-	s.stats.Rounds = int(int64(binary.LittleEndian.Uint64(hdr[45:53])))
-	s.stats.DepDepth = int(int64(binary.LittleEndian.Uint64(hdr[53:61])))
-	s.pred.Orient2DCalls = int64(binary.LittleEndian.Uint64(hdr[61:69]))
-	s.pred.Orient2DExact = int64(binary.LittleEndian.Uint64(hdr[69:77]))
-	s.pred.InCircleCalls = int64(binary.LittleEndian.Uint64(hdr[77:85]))
-	s.pred.InCircleExact = int64(binary.LittleEndian.Uint64(hdr[85:93]))
-	return s, nil
-}
-
-// logSection is the decoded tail shared by full and delta images: the
-// triangle log (whole log or suffix), the mutable remainder, and the
-// footer's cross-checks.
-type logSection struct {
-	tris  []delaunay.Tri
-	depth []int32
-	final []int32
-	faces []delaunay.FaceRec
-	cand  []uint64
-}
-
-// decodeLogFrames parses fTriV..fFooter. baseTris is the triangle count
-// already committed below this section (0 for a full image, the base
-// watermark for a delta): the footer must echo baseTris + the section's
-// own triangle count, so a delta detached from its header context still
-// cross-checks its resulting log length.
-func decodeLogFrames(d *decoder, baseTris uint64) (logSection, error) {
-	var sec logSection
-
-	pay, err := d.nextFrame(fTriV)
+	d.off = 16
+	hdr, err := d.nextFrame(fHeader)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
+	}
+	if len(hdr) != hdrLen {
+		return nil, meta, ch, fmt.Errorf("%w: header frame is %d bytes, want %d", ErrFrameSize, len(hdr), hdrLen)
+	}
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(hdr[off:]) }
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(hdr[off:]) }
+	if hdr[4] > 1 {
+		return nil, meta, ch, fmt.Errorf("%w: done flag is %d", ErrFrameSize, hdr[4])
+	}
+	n := u64(5)
+	// Bound the counts before they are ever used as ints: a point set or
+	// base log larger than a frame could even hold is structurally absurd.
+	baseTris, baseFinal := u64(97), u64(105)
+	if n > maxFramePayload/16 || baseTris > maxFramePayload/12 || baseFinal > baseTris {
+		return nil, meta, ch, fmt.Errorf("%w: header declares %d points over a base of %d tris, %d final",
+			ErrFrameSize, n, baseTris, baseFinal)
+	}
+	st := &delaunay.BuildState{
+		Round: int32(u32(0)),
+		Done:  hdr[4] != 0,
+		N:     int(n),
+		Base:  delaunay.Watermark{Round: int32(u32(93)), Tris: int(baseTris), Final: int(baseFinal)},
+		Stats: delaunay.Stats{
+			InCircleTests:    int64(u64(29)),
+			TrianglesCreated: int64(u64(37)),
+			Rounds:           int(int64(u64(45))),
+			DepDepth:         int(int64(u64(53))),
+		},
+		Pred: geom.PredicateStats{
+			Orient2DCalls: int64(u64(61)),
+			Orient2DExact: int64(u64(69)),
+			InCircleCalls: int64(u64(77)),
+			InCircleExact: int64(u64(85)),
+		},
+	}
+	meta = Meta{Seed: u64(13), Build: u64(21)}
+	ch = Chain{BaseGen: u64(113), CRCTris: u32(121), CRCFinal: u32(125)}
+	if st.Base == (delaunay.Watermark{}) && ch != (Chain{}) {
+		return nil, meta, ch, fmt.Errorf("%w: a root carries chain binding %+v", ErrFrameSize, ch)
+	}
+	return st, meta, ch, nil
+}
+
+// Decode parses a checkpoint image produced by EncodeDelta (or committed
+// by a Writer) into its state, run metadata and chain binding. It
+// returns typed errors — never panics — on any invalid input: the frame
+// discipline and cross-frame counts (matching element counts, a points
+// frame empty exactly for a link, a footer echoing the resulting log
+// length) yield the frame errors, and a state failing
+// BuildState.Validate yields ErrInvalidState. Validation is what rejects
+// a CRC-valid root with a non-finite point, or a CRC-valid link whose
+// recorded watermark disagrees with its own suffix. Joining a link to its
+// concrete base (digests, metadata) is the restorer's job.
+func Decode(data []byte) (*delaunay.BuildState, Meta, Chain, error) {
+	d := &decoder{b: data}
+	st, meta, ch, err := d.header()
+	if err != nil {
+		return nil, meta, ch, err
+	}
+
+	pay, err := d.nextFrame(fPoints)
+	if err != nil {
+		return nil, meta, ch, err
+	}
+	cnt, body, err := countedPayload("points", pay, 16)
+	if err != nil {
+		return nil, meta, ch, err
+	}
+	want := st.N + 3
+	if st.Base != (delaunay.Watermark{}) {
+		want = 0 // a link's base holds the points
+	}
+	if cnt != want {
+		return nil, meta, ch, fmt.Errorf("%w: %d points for n=%d over base %+v, want %d", ErrFrameSize, cnt, st.N, st.Base, want)
+	}
+	st.Pts = makeNonEmpty[geom.Point](cnt)
+	for i := range st.Pts {
+		st.Pts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(body[16*i:]))
+		st.Pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(body[16*i+8:]))
+	}
+
+	pay, err = d.nextFrame(fTriV)
+	if err != nil {
+		return nil, meta, ch, err
 	}
 	nt, body, err := countedPayload("triangle-corners", pay, 12)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
-	sec.tris = makeNonEmpty[delaunay.Tri](nt)
-	for i := range sec.tris {
-		sec.tris[i].V[0] = int32(binary.LittleEndian.Uint32(body[12*i:]))
-		sec.tris[i].V[1] = int32(binary.LittleEndian.Uint32(body[12*i+4:]))
-		sec.tris[i].V[2] = int32(binary.LittleEndian.Uint32(body[12*i+8:]))
+	st.Tris = makeNonEmpty[delaunay.Tri](nt)
+	for i := range st.Tris {
+		st.Tris[i].V[0] = int32(binary.LittleEndian.Uint32(body[12*i:]))
+		st.Tris[i].V[1] = int32(binary.LittleEndian.Uint32(body[12*i+4:]))
+		st.Tris[i].V[2] = int32(binary.LittleEndian.Uint32(body[12*i+8:]))
 	}
 
 	pay, err = d.nextFrame(fELen)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	cnt, elens, err := countedPayload("encroacher-lengths", pay, 4)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	if cnt != nt {
-		return sec, fmt.Errorf("%w: %d encroacher lengths for %d triangles", ErrFrameSize, cnt, nt)
+		return nil, meta, ch, fmt.Errorf("%w: %d encroacher lengths for %d triangles", ErrFrameSize, cnt, nt)
 	}
 
 	pay, err = d.nextFrame(fEVal)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	totalE, evals, err := countedPayload("encroacher-values", pay, 4)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	// The per-triangle lengths must tile the value array exactly. Summing
 	// u32 lengths in uint64 cannot overflow (each ≤ 2^32, count ≤ 2^28).
@@ -191,7 +229,7 @@ func decodeLogFrames(d *decoder, baseTris uint64) (logSection, error) {
 		sum += uint64(binary.LittleEndian.Uint32(elens[4*i:]))
 	}
 	if sum != uint64(totalE) {
-		return sec, fmt.Errorf("%w: encroacher lengths sum to %d, values frame has %d", ErrFrameSize, sum, totalE)
+		return nil, meta, ch, fmt.Errorf("%w: encroacher lengths sum to %d, values frame has %d", ErrFrameSize, sum, totalE)
 	}
 	// One backing array for every E list: the slices are read-only after
 	// restore, and a single allocation keeps the decode at two passes.
@@ -203,213 +241,91 @@ func decodeLogFrames(d *decoder, baseTris uint64) (logSection, error) {
 	for i := 0; i < nt; i++ {
 		l := int(binary.LittleEndian.Uint32(elens[4*i:]))
 		if l > 0 {
-			sec.tris[i].E = evBack[off : off+l : off+l]
+			st.Tris[i].E = evBack[off : off+l : off+l]
 		}
 		off += l
 	}
 
 	pay, err = d.nextFrame(fDepth)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	cnt, body, err = countedPayload("depths", pay, 4)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	if cnt != nt {
-		return sec, fmt.Errorf("%w: %d depths for %d triangles", ErrFrameSize, cnt, nt)
+		return nil, meta, ch, fmt.Errorf("%w: %d depths for %d triangles", ErrFrameSize, cnt, nt)
 	}
-	sec.depth = makeNonEmpty[int32](cnt)
-	for i := range sec.depth {
-		sec.depth[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+	st.Depth = makeNonEmpty[int32](cnt)
+	for i := range st.Depth {
+		st.Depth[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
 	}
 
 	pay, err = d.nextFrame(fFinal)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	cnt, body, err = countedPayload("final-ids", pay, 4)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
-	sec.final = makeNonEmpty[int32](cnt)
-	for i := range sec.final {
-		sec.final[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+	st.Final = makeNonEmpty[int32](cnt)
+	for i := range st.Final {
+		st.Final[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
 	}
 
 	pay, err = d.nextFrame(fFaces)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	cnt, body, err = countedPayload("faces", pay, 24)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
-	sec.faces = makeNonEmpty[delaunay.FaceRec](cnt)
-	for i := range sec.faces {
-		sec.faces[i].Key = binary.LittleEndian.Uint64(body[24*i:])
-		sec.faces[i].W0 = binary.LittleEndian.Uint64(body[24*i+8:])
-		sec.faces[i].W1 = binary.LittleEndian.Uint64(body[24*i+16:])
+	st.Faces = makeNonEmpty[delaunay.FaceRec](cnt)
+	for i := range st.Faces {
+		st.Faces[i].Key = binary.LittleEndian.Uint64(body[24*i:])
+		st.Faces[i].W0 = binary.LittleEndian.Uint64(body[24*i+8:])
+		st.Faces[i].W1 = binary.LittleEndian.Uint64(body[24*i+16:])
 	}
 
 	pay, err = d.nextFrame(fCand)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
 	cnt, body, err = countedPayload("candidates", pay, 8)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
-	sec.cand = makeNonEmpty[uint64](cnt)
-	for i := range sec.cand {
-		sec.cand[i] = binary.LittleEndian.Uint64(body[8*i:])
+	st.Cand = makeNonEmpty[uint64](cnt)
+	for i := range st.Cand {
+		st.Cand[i] = binary.LittleEndian.Uint64(body[8*i:])
 	}
 
 	pay, err = d.nextFrame(fFooter)
 	if err != nil {
-		return sec, err
+		return nil, meta, ch, err
 	}
-	if len(pay) != 8 || binary.LittleEndian.Uint64(pay) != baseTris+uint64(nt) {
-		return sec, fmt.Errorf("%w: footer echo mismatch", ErrFrameSize)
+	if len(pay) != 8 || binary.LittleEndian.Uint64(pay) != uint64(st.Base.Tris+nt) {
+		return nil, meta, ch, fmt.Errorf("%w: footer echo mismatch", ErrFrameSize)
 	}
 	if d.remaining() != 0 {
-		return sec, fmt.Errorf("%w: %d trailing bytes after footer", ErrFrameSize, d.remaining())
+		return nil, meta, ch, fmt.Errorf("%w: %d trailing bytes after footer", ErrFrameSize, d.remaining())
 	}
-	return sec, nil
+	if err := st.Validate(); err != nil {
+		return nil, meta, ch, fmt.Errorf("%w: %v", ErrInvalidState, err)
+	}
+	return st, meta, ch, nil
 }
 
-// Decode parses a FULL checkpoint image produced by Encode (or committed
-// by a Writer). It returns typed errors — never panics — on any
-// structurally invalid input, and performs the cross-frame consistency
-// checks the format guarantees (matching element counts, footer echo).
-// The returned state is structurally sound; callers that will trust its
-// indices must still run BuildState.Validate (Restore does). A delta
-// image fails with ErrFrameOrder; use DecodeAny to accept either kind.
-func Decode(data []byte) (*delaunay.BuildState, Meta, error) {
-	var meta Meta
-	if err := checkPreamble(data); err != nil {
-		return nil, meta, err
-	}
-	d := &decoder{b: data, off: 16}
-
-	hdr, err := d.nextFrame(fHeader)
-	if err != nil {
-		return nil, meta, err
-	}
-	if len(hdr) != hdrLen {
-		return nil, meta, fmt.Errorf("%w: header frame is %d bytes, want %d", ErrFrameSize, len(hdr), hdrLen)
-	}
-	sc, err := parseScalars(hdr)
-	if err != nil {
-		return nil, meta, err
-	}
-	meta = sc.meta
-	st := &delaunay.BuildState{
-		Round: sc.round,
-		Done:  sc.done,
-		N:     sc.n,
-		Stats: sc.stats,
-		Pred:  sc.pred,
-	}
-
-	pay, err := d.nextFrame(fPoints)
-	if err != nil {
-		return nil, meta, err
-	}
-	cnt, body, err := countedPayload("points", pay, 16)
-	if err != nil {
-		return nil, meta, err
-	}
-	if cnt != st.N+3 {
-		return nil, meta, fmt.Errorf("%w: %d points for n=%d (want n+3)", ErrFrameSize, cnt, st.N)
-	}
-	st.Pts = make([]geom.Point, cnt)
-	for i := range st.Pts {
-		st.Pts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(body[16*i:]))
-		st.Pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(body[16*i+8:]))
-	}
-
-	sec, err := decodeLogFrames(d, 0)
-	if err != nil {
-		return nil, meta, err
-	}
-	st.Tris = sec.tris
-	st.Depth = sec.depth
-	st.Final = sec.final
-	st.Faces = sec.faces
-	st.Cand = sec.cand
-	return st, meta, nil
-}
-
-// DecodeDelta parses a DELTA checkpoint image produced by EncodeDelta.
-// Structural cross-checks beyond the shared frame discipline: the footer
-// must echo the RESULTING log length (base watermark + suffix), and the
-// delta must pass BuildDelta.Validate — in particular every suffix final
-// id must land inside the suffix window the recorded watermark implies,
-// which is what rejects a CRC-valid file whose watermark was tampered
-// with. Chain checks against the concrete base (digests, metadata) are
-// the restorer's job.
-func DecodeDelta(data []byte) (*delaunay.BuildDelta, Meta, Chain, error) {
-	var meta Meta
-	var ch Chain
-	if err := checkPreamble(data); err != nil {
-		return nil, meta, ch, err
-	}
-	d := &decoder{b: data, off: 16}
-
-	hdr, err := d.nextFrame(fDeltaHeader)
-	if err != nil {
-		return nil, meta, ch, err
-	}
-	if len(hdr) != dhdrLen {
-		return nil, meta, ch, fmt.Errorf("%w: delta header frame is %d bytes, want %d", ErrFrameSize, len(hdr), dhdrLen)
-	}
-	sc, err := parseScalars(hdr[:hdrLen])
-	if err != nil {
-		return nil, meta, ch, err
-	}
-	meta = sc.meta
-	ch.BaseGen = binary.LittleEndian.Uint64(hdr[hdrLen : hdrLen+8])
-	baseRound := int32(binary.LittleEndian.Uint32(hdr[hdrLen+8 : hdrLen+12]))
-	baseTris := binary.LittleEndian.Uint64(hdr[hdrLen+12 : hdrLen+20])
-	baseFinal := binary.LittleEndian.Uint64(hdr[hdrLen+20 : hdrLen+28])
-	ch.CRCTris = binary.LittleEndian.Uint32(hdr[hdrLen+28 : hdrLen+32])
-	ch.CRCFinal = binary.LittleEndian.Uint32(hdr[hdrLen+32 : hdrLen+36])
-	// Bound the watermark before it is ever used as an int: a base log
-	// larger than a frame could even hold is structurally absurd.
-	if baseTris == 0 || baseTris > maxFramePayload/12 || baseFinal > baseTris {
-		return nil, meta, ch, fmt.Errorf("%w: delta base watermark (%d tris, %d final) out of range", ErrFrameSize, baseTris, baseFinal)
-	}
-
-	dl := &delaunay.BuildDelta{
-		Round: sc.round,
-		Done:  sc.done,
-		N:     sc.n,
-		Base:  delaunay.Watermark{Round: baseRound, Tris: int(baseTris), Final: int(baseFinal)},
-		Stats: sc.stats,
-		Pred:  sc.pred,
-	}
-	sec, err := decodeLogFrames(d, baseTris)
-	if err != nil {
-		return nil, meta, ch, err
-	}
-	dl.Tris = sec.tris
-	dl.Depth = sec.depth
-	dl.Final = sec.final
-	dl.Faces = sec.faces
-	dl.Cand = sec.cand
-	if err := dl.Validate(); err != nil {
-		return nil, meta, ch, fmt.Errorf("%w: %v", ErrDeltaChain, err)
-	}
-	return dl, meta, ch, nil
-}
-
-// Kind distinguishes the two on-disk generation types.
+// Kind is the role of a committed generation in its chain: a root holds
+// the whole build, a link the increment over an earlier generation.
 type Kind uint8
 
 const (
-	KindFull Kind = 1 + iota
-	KindDelta
+	KindFull  Kind = 1 + iota // a root
+	KindDelta                 // a link
 )
 
 func (k Kind) String() string {
@@ -420,42 +336,4 @@ func (k Kind) String() string {
 		return "delta"
 	}
 	return "kind-?"
-}
-
-// Image is one decoded checkpoint file of either kind. Exactly one of
-// State (KindFull) and Delta (KindDelta) is set; Chain is meaningful only
-// for deltas.
-type Image struct {
-	Kind  Kind
-	State *delaunay.BuildState
-	Delta *delaunay.BuildDelta
-	Meta  Meta
-	Chain Chain
-}
-
-// DecodeAny parses a checkpoint file of either kind, dispatching on the
-// first frame's type byte. Same error discipline as Decode/DecodeDelta.
-func DecodeAny(data []byte) (*Image, error) {
-	if err := checkPreamble(data); err != nil {
-		return nil, err
-	}
-	if len(data) < 17 {
-		return nil, fmt.Errorf("%w: no frame after the preamble", ErrTruncated)
-	}
-	switch data[16] {
-	case fDeltaHeader:
-		dl, meta, ch, err := DecodeDelta(data)
-		if err != nil {
-			return nil, err
-		}
-		return &Image{Kind: KindDelta, Delta: dl, Meta: meta, Chain: ch}, nil
-	default:
-		// Anything else must be a full image; Decode rejects a wrong
-		// leading frame type with ErrFrameOrder.
-		st, meta, err := Decode(data)
-		if err != nil {
-			return nil, err
-		}
-		return &Image{Kind: KindFull, State: st, Meta: meta}, nil
-	}
 }

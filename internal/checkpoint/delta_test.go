@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/delaunay"
@@ -42,61 +43,67 @@ func (r *liveRun) step(t testing.TB, k int) bool {
 	return true
 }
 
-// TestDeltaEncodeDecodeRoundtrip: EncodeDelta/DecodeDelta is lossless and
-// canonical — field-exact roundtrip, byte-exact re-encode.
+// saveRoot commits st as a root whatever the writer's chain tip: the path
+// SaveAuto takes at the chain cap, and Scrub's promotion takes always.
+func saveRoot(t testing.TB, w *Writer, st *delaunay.BuildState, meta Meta) string {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	path, err := w.save(st, meta, nil)
+	if err != nil {
+		t.Fatalf("root save: %v", err)
+	}
+	return path
+}
+
+// saveLink commits st through SaveAuto and requires it to land as a link.
+func saveLink(t testing.TB, w *Writer, st *delaunay.BuildState, meta Meta) string {
+	t.Helper()
+	path, kind, err := w.SaveAuto(st, meta)
+	if err != nil || kind != KindDelta {
+		t.Fatalf("SaveAuto: kind %v err %v, want a link", kind, err)
+	}
+	return path
+}
+
+// TestDeltaEncodeDecodeRoundtrip: a link image roundtrips through
+// EncodeDelta/Decode losslessly and canonically — field-exact state,
+// binding and watermark, byte-exact re-encode.
 func TestDeltaEncodeDecodeRoundtrip(t *testing.T) {
 	run := newLiveRun(t, 41, 600)
 	run.step(t, 2)
 	base := run.lv.CaptureState()
 	run.step(t, 2)
-	d, err := run.lv.CaptureDelta(base.Watermark())
+	d, err := run.lv.CaptureState().DeltaSince(base.Watermark())
 	if err != nil {
-		t.Fatalf("CaptureDelta: %v", err)
+		t.Fatalf("DeltaSince: %v", err)
 	}
 	meta := Meta{Seed: 41, Build: 7}
 	ch := Chain{BaseGen: 3, CRCTris: crcTris(0, base.Tris), CRCFinal: crcFinal(0, base.Final)}
 	img := EncodeDelta(d, meta, ch)
 
-	got, gotMeta, gotCh, err := DecodeDelta(img)
+	got, gotMeta, gotCh, err := Decode(img)
 	if err != nil {
-		t.Fatalf("DecodeDelta: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if gotMeta != meta || gotCh != ch {
 		t.Fatalf("binding roundtrip: meta %+v chain %+v", gotMeta, gotCh)
 	}
-	if got.Base != d.Base || got.Round != d.Round || got.Done != d.Done || got.N != d.N {
-		t.Fatalf("delta scalars roundtrip: %+v vs %+v", got, d)
+	if got.Base != d.Base || got.Pts != nil {
+		t.Fatalf("link roundtrip: base %+v with %d points, want %+v with none", got.Base, len(got.Pts), d.Base)
 	}
-	if got.Stats != d.Stats || got.Pred != d.Pred {
-		t.Fatal("delta counters roundtrip mismatch")
-	}
-	if len(got.Tris) != len(d.Tris) || len(got.Final) != len(d.Final) ||
-		len(got.Faces) != len(d.Faces) || len(got.Cand) != len(d.Cand) {
-		t.Fatal("delta collection sizes roundtrip mismatch")
-	}
+	stateEqual(t, got, d)
 	if reenc := EncodeDelta(got, gotMeta, gotCh); !bytes.Equal(reenc, img) {
-		t.Fatal("delta re-encode is not byte-identical")
-	}
-	// DecodeAny dispatches on the leading frame type.
-	any, err := DecodeAny(img)
-	if err != nil || any.Kind != KindDelta {
-		t.Fatalf("DecodeAny(delta): kind %v err %v", any.Kind, err)
-	}
-	if !bytes.Equal(EncodeAny(any), img) {
-		t.Fatal("EncodeAny(DecodeAny(delta)) is not byte-identical")
-	}
-	// The plain full-image decoder must refuse a delta, typed.
-	if _, _, err := Decode(img); !errors.Is(err, ErrFrameOrder) {
-		t.Fatalf("Decode(delta image) = %v, want ErrFrameOrder", err)
+		t.Fatal("link re-encode is not byte-identical")
 	}
 }
 
-// TestDeltaChainRestoreEveryBoundary is the property test of the tentpole
-// claim: committing via SaveAuto (full image, then deltas chained on it)
-// at EVERY committed boundary, the directory must restore — through the
-// base⊕delta chain — to a state byte-identical (encoding and all) to the
-// full capture at that boundary, and the restored state must resume to
-// the byte-identical reference mesh.
+// TestDeltaChainRestoreEveryBoundary is the property test of the chain
+// claim: committing via SaveAuto (a root, then links chained on it) at
+// EVERY committed boundary, the directory must restore — through the
+// root⊕links chain — to a state byte-identical (encoding and all) to the
+// complete capture at that boundary, and the restored state must resume
+// to the byte-identical reference mesh.
 func TestDeltaChainRestoreEveryBoundary(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(dir)
@@ -132,7 +139,7 @@ func TestDeltaChainRestoreEveryBoundary(t *testing.T) {
 		}
 	}
 	if deltas == 0 {
-		t.Fatal("SaveAuto never produced a delta; the chain path was not exercised")
+		t.Fatal("SaveAuto never produced a link; the chain path was not exercised")
 	}
 	got, _, err := Restore(dir)
 	if err != nil {
@@ -143,54 +150,58 @@ func TestDeltaChainRestoreEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestSaveAutoChainPolicy: the full/delta cadence follows the chain cap,
-// and SaveDelta without a tip reports ErrNoBase.
+// TestSaveAutoChainPolicy: the root/link cadence follows DefaultMaxChain
+// (a root, then DefaultMaxChain links, then a root again), and a state
+// that cannot chain on the tip — another run's Meta, or a state behind
+// the tip — falls back to a root.
 func TestSaveAutoChainPolicy(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(dir)
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	w.SetMaxChain(2)
-	run := newLiveRun(t, 47, 700)
+	run := newLiveRun(t, 47, 3000)
 	meta := Meta{Seed: 47}
+	early := run.lv.CaptureState()
 
-	if _, err := w.SaveDelta(run.lv.CaptureState(), meta); !errors.Is(err, ErrNoBase) {
-		t.Fatalf("SaveDelta without a tip = %v, want ErrNoBase", err)
-	}
-	var kinds []Kind
-	for i := 0; i < 6; i++ {
+	var kinds, want []Kind
+	for i := 0; i < 2*(DefaultMaxChain+1)+1; i++ {
 		run.step(t, 1)
 		_, kind, err := w.SaveAuto(run.lv.CaptureState(), meta)
 		if err != nil {
 			t.Fatalf("SaveAuto %d: %v", i, err)
 		}
 		kinds = append(kinds, kind)
-	}
-	want := []Kind{KindFull, KindDelta, KindDelta, KindFull, KindDelta, KindDelta}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("save kinds %v, want %v", kinds, want)
+		if i%(DefaultMaxChain+1) == 0 {
+			want = append(want, KindFull)
+		} else {
+			want = append(want, KindDelta)
 		}
 	}
-	// A different run's metadata cannot chain on the tip.
-	if _, err := w.SaveDelta(run.lv.CaptureState(), Meta{Seed: 48}); !errors.Is(err, ErrNoBase) {
-		t.Fatalf("SaveDelta with foreign meta = %v, want ErrNoBase", err)
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("save kinds %v, want %v", kinds, want)
 	}
-	// SetMaxChain(0) disables deltas outright.
-	w.SetMaxChain(0)
-	run.step(t, 1)
-	if _, kind, err := w.SaveAuto(run.lv.CaptureState(), meta); err != nil || kind != KindFull {
-		t.Fatalf("SaveAuto with chain disabled: kind %v err %v", kind, err)
+	// A link first each time, so the fallback is forced by the state,
+	// not by the cap.
+	saveLink(t, w, run.lv.CaptureState(), meta)
+	if _, kind, err := w.SaveAuto(run.lv.CaptureState(), Meta{Seed: 48}); err != nil || kind != KindFull {
+		t.Fatalf("foreign meta: SaveAuto kind %v err %v, want a root", kind, err)
+	}
+	saveLink(t, w, run.lv.CaptureState(), Meta{Seed: 48})
+	if _, kind, err := w.SaveAuto(early, Meta{Seed: 48}); err != nil || kind != KindFull {
+		t.Fatalf("state behind the tip: SaveAuto kind %v err %v, want a root", kind, err)
+	}
+	if got, gotMeta, err := Restore(dir); err != nil || gotMeta.Seed != 48 || got.Round != early.Round {
+		t.Fatalf("Restore after the fallback root: meta %+v err %v", gotMeta, err)
 	}
 }
 
 // TestPruneKeepsChainBases is the regression test for chain-aware
-// pruning: with a long delta chain, the naive newest-keepGenerations
-// policy would delete the full base image the surviving deltas depend on,
-// silently destroying every restore point. The chain-aware prune must
-// keep the base alive as long as a retained delta needs it — and still
-// collect it once a later full image retires the chain.
+// pruning: with a long chain, the naive newest-keepGenerations policy
+// would delete the root the surviving links depend on, silently
+// destroying every restore point. The chain-aware prune must keep the
+// root alive as long as a retained link needs it — and still collect it
+// once later roots retire the chain.
 func TestPruneKeepsChainBases(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(dir)
@@ -200,15 +211,11 @@ func TestPruneKeepsChainBases(t *testing.T) {
 	run := newLiveRun(t, 53, 800)
 	meta := Meta{Seed: 53}
 	run.step(t, 1)
-	if _, err := w.Save(run.lv.CaptureState(), meta); err != nil { // gen 1: the full base
-		t.Fatalf("base Save: %v", err)
-	}
-	// 2*keepGenerations deltas: far more than the naive window.
+	saveRoot(t, w, run.lv.CaptureState(), meta) // gen 1: the root
+	// 2*keepGenerations links: far more than the naive window.
 	for i := 0; i < 2*keepGenerations; i++ {
 		run.step(t, 1)
-		if _, err := w.SaveDelta(run.lv.CaptureState(), meta); err != nil {
-			t.Fatalf("SaveDelta %d: %v", i, err)
-		}
+		saveLink(t, w, run.lv.CaptureState(), meta)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ckptName(1))); err != nil {
 		t.Fatalf("prune deleted the base generation a live delta chain depends on: %v", err)
@@ -220,20 +227,18 @@ func TestPruneKeepsChainBases(t *testing.T) {
 	if d := DigestMesh(finishFrom(t, st)); d != DigestMesh(run.ref) {
 		t.Fatalf("chain restore digest %08x, reference %08x", d, DigestMesh(run.ref))
 	}
-	// Retire the chain with full images; the old base must now be
-	// collectable — chain-aware pruning is not a leak.
+	// Retire the chain with roots; the old root must now be collectable
+	// — chain-aware pruning is not a leak.
 	for i := 0; i < keepGenerations; i++ {
 		run.step(t, 1)
-		if _, err := w.Save(run.lv.CaptureState(), meta); err != nil {
-			t.Fatalf("retiring Save %d: %v", i, err)
-		}
+		saveRoot(t, w, run.lv.CaptureState(), meta)
 	}
 	if _, err := os.Stat(filepath.Join(dir, ckptName(1))); !os.IsNotExist(err) {
 		t.Fatal("retired base generation was never pruned (chain-aware prune leaks)")
 	}
 }
 
-// TestRestoreFallsBackPastBrokenDelta: a corrupt delta must not orphan
+// TestRestoreFallsBackPastBrokenDelta: a corrupt link must not orphan
 // its base — Restore skips the broken tip and lands on the newest link
 // that still resolves.
 func TestRestoreFallsBackPastBrokenDelta(t *testing.T) {
@@ -245,24 +250,14 @@ func TestRestoreFallsBackPastBrokenDelta(t *testing.T) {
 	run := newLiveRun(t, 59, 700)
 	meta := Meta{Seed: 59}
 	run.step(t, 1)
-	if _, err := w.Save(run.lv.CaptureState(), meta); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	saveRoot(t, w, run.lv.CaptureState(), meta)
 	run.step(t, 1)
 	mid := run.lv.CaptureState()
-	if _, err := w.SaveDelta(mid, meta); err != nil {
-		t.Fatalf("SaveDelta (gen 2): %v", err)
-	}
+	saveLink(t, w, mid, meta) // gen 2
 	run.step(t, 1)
-	tipPath, err := w.SaveDelta(run.lv.CaptureState(), meta)
-	if err != nil {
-		t.Fatalf("SaveDelta (gen 3): %v", err)
-	}
-	// Corrupt the newest delta; the manifest still points at it.
-	data, err := os.ReadFile(tipPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tipPath := saveLink(t, w, run.lv.CaptureState(), meta) // gen 3
+	// Corrupt the newest link; the manifest still points at it.
+	data := mustRead(t, tipPath)
 	data[len(data)-10] ^= 0xff
 	if err := os.WriteFile(tipPath, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -272,11 +267,11 @@ func TestRestoreFallsBackPastBrokenDelta(t *testing.T) {
 		t.Fatalf("Restore past broken delta: %v", err)
 	}
 	if got.Round != mid.Round || len(got.Tris) != len(mid.Tris) {
-		t.Fatalf("restored round %d (%d tris), want the intact delta below (round %d, %d tris)",
+		t.Fatalf("restored round %d (%d tris), want the intact link below (round %d, %d tris)",
 			got.Round, len(got.Tris), mid.Round, len(mid.Tris))
 	}
 
-	// A delta whose BASE is gone must also fall back — here to nothing,
+	// A link whose BASE is gone must also fall back — here to nothing,
 	// so Restore reports the corruption rather than fabricating a state.
 	if err := os.Remove(filepath.Join(dir, ckptName(1))); err != nil {
 		t.Fatal(err)
@@ -286,7 +281,7 @@ func TestRestoreFallsBackPastBrokenDelta(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForgedChain: a delta rebound to a base of the right
+// TestRestoreRejectsForgedChain: a link rebound to a base of the right
 // watermark but different content must fail the prefix-digest check.
 func TestRestoreRejectsForgedChain(t *testing.T) {
 	dir := t.TempDir()
@@ -298,15 +293,13 @@ func TestRestoreRejectsForgedChain(t *testing.T) {
 	meta := Meta{Seed: 61}
 	run.step(t, 1)
 	base := run.lv.CaptureState()
-	if _, err := w.Save(base, meta); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	saveRoot(t, w, base, meta)
 	run.step(t, 1)
-	d, err := run.lv.CaptureDelta(base.Watermark())
+	d, err := run.lv.CaptureState().DeltaSince(base.Watermark())
 	if err != nil {
-		t.Fatalf("CaptureDelta: %v", err)
+		t.Fatalf("DeltaSince: %v", err)
 	}
-	// Encode the delta with a WRONG content digest for its base: the file
+	// Encode the link with a WRONG content digest for its base: the file
 	// is CRC-valid and structurally fine, but the chain must not join.
 	forged := EncodeDelta(d, meta, Chain{
 		BaseGen: 1, CRCTris: crcTris(0, base.Tris) ^ 1, CRCFinal: crcFinal(0, base.Final),

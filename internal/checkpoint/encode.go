@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/delaunay"
-	"repro/internal/geom"
 )
 
 // Meta is the run identity carried alongside the build state: enough for
@@ -33,103 +32,40 @@ func frame(t byte, payload []byte) []byte {
 
 func crc32Of(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// scalarHeader encodes the fields full and delta headers share: round,
-// done, n, meta, and the work counters (resumed runs must report the same
-// totals as uninterrupted ones — the equality suites compare Stats).
-func scalarHeader(buf []byte, round int32, done bool, n int, meta Meta, stats delaunay.Stats, pred geom.PredicateStats) []byte {
-	buf = le32(buf, uint32(round))
-	if done {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = le64(buf, uint64(n))
-	buf = le64(buf, meta.Seed)
-	buf = le64(buf, meta.Build)
-	buf = le64(buf, uint64(stats.InCircleTests))
-	buf = le64(buf, uint64(stats.TrianglesCreated))
-	buf = le64(buf, uint64(int64(stats.Rounds)))
-	buf = le64(buf, uint64(int64(stats.DepDepth)))
-	buf = le64(buf, uint64(pred.Orient2DCalls))
-	buf = le64(buf, uint64(pred.Orient2DExact))
-	buf = le64(buf, uint64(pred.InCircleCalls))
-	buf = le64(buf, uint64(pred.InCircleExact))
-	return buf
-}
-
-// appendLogFrames appends the frames full and delta files share — the
-// triangle log section (corners, encroacher lengths/values, depths, final
-// ids: the whole log for a full image, the suffix for a delta), the
-// mutable remainder (faces, candidates), and the footer echoing echo.
-func appendLogFrames(frames [][]byte, tris []delaunay.Tri, depth, final []int32,
-	faceRecs []delaunay.FaceRec, cand []uint64, echo uint64) [][]byte {
-	triv := make([]byte, 0, 8+12*len(tris))
-	triv = le64(triv, uint64(len(tris)))
-	for _, t := range tris {
-		triv = le32(triv, uint32(t.V[0]))
-		triv = le32(triv, uint32(t.V[1]))
-		triv = le32(triv, uint32(t.V[2]))
-	}
-	frames = append(frames, frame(fTriV, triv))
-
-	elen := make([]byte, 0, 8+4*len(tris))
-	elen = le64(elen, uint64(len(tris)))
-	totalE := 0
-	for _, t := range tris {
-		elen = le32(elen, uint32(len(t.E)))
-		totalE += len(t.E)
-	}
-	frames = append(frames, frame(fELen, elen))
-
-	eval := make([]byte, 0, 8+4*totalE)
-	eval = le64(eval, uint64(totalE))
-	for _, t := range tris {
-		for _, w := range t.E {
-			eval = le32(eval, uint32(w))
-		}
-	}
-	frames = append(frames, frame(fEVal, eval))
-
-	dep := make([]byte, 0, 8+4*len(depth))
-	dep = le64(dep, uint64(len(depth)))
-	for _, d := range depth {
-		dep = le32(dep, uint32(d))
-	}
-	frames = append(frames, frame(fDepth, dep))
-
-	fin := make([]byte, 0, 8+4*len(final))
-	fin = le64(fin, uint64(len(final)))
-	for _, id := range final {
-		fin = le32(fin, uint32(id))
-	}
-	frames = append(frames, frame(fFinal, fin))
-
-	faces := make([]byte, 0, 8+24*len(faceRecs))
-	faces = le64(faces, uint64(len(faceRecs)))
-	for _, f := range faceRecs {
-		faces = le64(faces, f.Key)
-		faces = le64(faces, f.W0)
-		faces = le64(faces, f.W1)
-	}
-	frames = append(frames, frame(fFaces, faces))
-
-	cd := make([]byte, 0, 8+8*len(cand))
-	cd = le64(cd, uint64(len(cand)))
-	for _, k := range cand {
-		cd = le64(cd, k)
-	}
-	frames = append(frames, frame(fCand, cd))
-
-	foot := le64(make([]byte, 0, 8), echo)
-	return append(frames, frame(fFooter, foot))
-}
-
-// encodeFrames serializes st+meta into the fixed frame sequence. Each
+// encodeFrames serializes st+meta+ch into the fixed frame sequence. Each
 // element of the result is one complete frame, so a writer can interleave
-// per-frame I/O (and per-frame fault injection) without re-parsing.
-func encodeFrames(st *delaunay.BuildState, meta Meta) [][]byte {
+// per-frame I/O (and per-frame fault injection) without re-parsing. A
+// link's log frames carry only its suffix and its points frame is empty,
+// so it costs O(suffix + faces + candidates) to encode no matter how
+// large the build below its watermark has grown.
+func encodeFrames(st *delaunay.BuildState, meta Meta, ch Chain) [][]byte {
 	frames := make([][]byte, 0, numFrames)
-	hdr := scalarHeader(make([]byte, 0, hdrLen), st.Round, st.Done, st.N, meta, st.Stats, st.Pred)
+	hdr := make([]byte, 0, hdrLen)
+	hdr = le32(hdr, uint32(st.Round))
+	if st.Done {
+		hdr = append(hdr, 1)
+	} else {
+		hdr = append(hdr, 0)
+	}
+	hdr = le64(hdr, uint64(st.N))
+	hdr = le64(hdr, meta.Seed)
+	hdr = le64(hdr, meta.Build)
+	// The work counters travel too: resumed runs must report the same
+	// totals as uninterrupted ones (the equality suites compare Stats).
+	hdr = le64(hdr, uint64(st.Stats.InCircleTests))
+	hdr = le64(hdr, uint64(st.Stats.TrianglesCreated))
+	hdr = le64(hdr, uint64(int64(st.Stats.Rounds)))
+	hdr = le64(hdr, uint64(int64(st.Stats.DepDepth)))
+	hdr = le64(hdr, uint64(st.Pred.Orient2DCalls))
+	hdr = le64(hdr, uint64(st.Pred.Orient2DExact))
+	hdr = le64(hdr, uint64(st.Pred.InCircleCalls))
+	hdr = le64(hdr, uint64(st.Pred.InCircleExact))
+	hdr = le32(hdr, uint32(st.Base.Round))
+	hdr = le64(hdr, uint64(st.Base.Tris))
+	hdr = le64(hdr, uint64(st.Base.Final))
+	hdr = le64(hdr, ch.BaseGen)
+	hdr = le32(hdr, ch.CRCTris)
+	hdr = le32(hdr, ch.CRCFinal)
 	frames = append(frames, frame(fHeader, hdr))
 
 	pts := make([]byte, 0, 8+16*len(st.Pts))
@@ -140,15 +76,74 @@ func encodeFrames(st *delaunay.BuildState, meta Meta) [][]byte {
 	}
 	frames = append(frames, frame(fPoints, pts))
 
-	return appendLogFrames(frames, st.Tris, st.Depth, st.Final, st.Faces, st.Cand, uint64(len(st.Tris)))
+	triv := make([]byte, 0, 8+12*len(st.Tris))
+	triv = le64(triv, uint64(len(st.Tris)))
+	for _, t := range st.Tris {
+		triv = le32(triv, uint32(t.V[0]))
+		triv = le32(triv, uint32(t.V[1]))
+		triv = le32(triv, uint32(t.V[2]))
+	}
+	frames = append(frames, frame(fTriV, triv))
+
+	elen := make([]byte, 0, 8+4*len(st.Tris))
+	elen = le64(elen, uint64(len(st.Tris)))
+	totalE := 0
+	for _, t := range st.Tris {
+		elen = le32(elen, uint32(len(t.E)))
+		totalE += len(t.E)
+	}
+	frames = append(frames, frame(fELen, elen))
+
+	eval := make([]byte, 0, 8+4*totalE)
+	eval = le64(eval, uint64(totalE))
+	for _, t := range st.Tris {
+		for _, w := range t.E {
+			eval = le32(eval, uint32(w))
+		}
+	}
+	frames = append(frames, frame(fEVal, eval))
+
+	dep := make([]byte, 0, 8+4*len(st.Depth))
+	dep = le64(dep, uint64(len(st.Depth)))
+	for _, d := range st.Depth {
+		dep = le32(dep, uint32(d))
+	}
+	frames = append(frames, frame(fDepth, dep))
+
+	fin := make([]byte, 0, 8+4*len(st.Final))
+	fin = le64(fin, uint64(len(st.Final)))
+	for _, id := range st.Final {
+		fin = le32(fin, uint32(id))
+	}
+	frames = append(frames, frame(fFinal, fin))
+
+	faces := make([]byte, 0, 8+24*len(st.Faces))
+	faces = le64(faces, uint64(len(st.Faces)))
+	for _, f := range st.Faces {
+		faces = le64(faces, f.Key)
+		faces = le64(faces, f.W0)
+		faces = le64(faces, f.W1)
+	}
+	frames = append(frames, frame(fFaces, faces))
+
+	cd := make([]byte, 0, 8+8*len(st.Cand))
+	cd = le64(cd, uint64(len(st.Cand)))
+	for _, k := range st.Cand {
+		cd = le64(cd, k)
+	}
+	frames = append(frames, frame(fCand, cd))
+
+	foot := le64(make([]byte, 0, 8), uint64(st.Base.Tris+len(st.Tris)))
+	return append(frames, frame(fFooter, foot))
 }
 
-// Chain binds a delta generation to its base: which generation it
+// Chain binds a link generation to its base: which generation it
 // extends, and CRC32C digests over the base's triangle-corner and
-// final-id streams. The digests tie the delta to the base's CONTENT —
+// final-id streams. The digests tie the link to the base's CONTENT —
 // a base of the right shape but the wrong build (or a tampered one)
 // fails the digest check at restore, which is what makes a chain of
-// CRC-valid files still refuse to join across runs.
+// CRC-valid files still refuse to join across runs. A root's Chain is
+// zero.
 type Chain struct {
 	BaseGen  uint64
 	CRCTris  uint32
@@ -179,25 +174,6 @@ func crcFinal(crc uint32, final []int32) uint32 {
 	return crc
 }
 
-// encodeDeltaFrames serializes an incremental generation: the delta
-// header (scalar header + chain binding), the log frames over the SUFFIX
-// only, the full mutable remainder, and a footer echoing the resulting
-// log length — so a delta costs O(suffix + faces + candidates) to encode
-// no matter how large the build below the watermark has grown.
-func encodeDeltaFrames(d *delaunay.BuildDelta, meta Meta, ch Chain) [][]byte {
-	frames := make([][]byte, 0, numDeltaFrames)
-	hdr := scalarHeader(make([]byte, 0, dhdrLen), d.Round, d.Done, d.N, meta, d.Stats, d.Pred)
-	hdr = le64(hdr, ch.BaseGen)
-	hdr = le32(hdr, uint32(d.Base.Round))
-	hdr = le64(hdr, uint64(d.Base.Tris))
-	hdr = le64(hdr, uint64(d.Base.Final))
-	hdr = le32(hdr, ch.CRCTris)
-	hdr = le32(hdr, ch.CRCFinal)
-	frames = append(frames, frame(fDeltaHeader, hdr))
-	return appendLogFrames(frames, d.Tris, d.Depth, d.Final, d.Faces, d.Cand,
-		uint64(d.Base.Tris)+uint64(len(d.Tris)))
-}
-
 // preamble returns the fixed file header.
 func preamble() []byte {
 	b := make([]byte, 0, 16)
@@ -207,34 +183,20 @@ func preamble() []byte {
 	return b
 }
 
-// Encode serializes a build state and its metadata into a single
-// checkpoint image — the exact bytes Save would commit. Exposed for
-// tests and corpus generation; production writes go through Writer.Save,
-// which adds the atomic-commit protocol.
-func Encode(st *delaunay.BuildState, meta Meta) []byte {
+// EncodeDelta serializes a build state — a root or a link — into one
+// checkpoint image: the exact bytes SaveAuto would commit for it, with ch
+// binding a link to the generation holding its base. It encodes st as
+// given, without validating it. Exposed for tests, corpus generation and
+// benchmarks; production writes go through Writer.SaveAuto, which adds
+// the atomic-commit protocol. For every input Decode accepts,
+// EncodeDelta(Decode(input)) reproduces the input byte for byte.
+func EncodeDelta(st *delaunay.BuildState, meta Meta, ch Chain) []byte {
 	out := preamble()
-	for _, fr := range encodeFrames(st, meta) {
+	for _, fr := range encodeFrames(st, meta, ch) {
 		out = append(out, fr...)
 	}
 	return out
 }
 
-// EncodeDelta serializes a delta image — the exact bytes SaveDelta would
-// commit. ch binds the delta to the base generation it extends.
-func EncodeDelta(d *delaunay.BuildDelta, meta Meta, ch Chain) []byte {
-	out := preamble()
-	for _, fr := range encodeDeltaFrames(d, meta, ch) {
-		out = append(out, fr...)
-	}
-	return out
-}
-
-// EncodeAny re-serializes a decoded image of either kind. It is the
-// canonical-form oracle: for every input DecodeAny accepts,
-// EncodeAny(DecodeAny(input)) must reproduce the input byte-for-byte.
-func EncodeAny(img *Image) []byte {
-	if img.Kind == KindDelta {
-		return EncodeDelta(img.Delta, img.Meta, img.Chain)
-	}
-	return Encode(img.State, img.Meta)
-}
+// Encode serializes a root: EncodeDelta with no chain binding.
+func Encode(st *delaunay.BuildState, meta Meta) []byte { return EncodeDelta(st, meta, Chain{}) }

@@ -10,44 +10,46 @@ import (
 	"repro/internal/fault"
 )
 
-// Hits per Save at each site, fixed by the commit protocol: one
-// CheckpointFrame per frame of the full format (one DeltaFrame per frame
-// of the delta format for SaveDelta), one CheckpointCommit per step of
-// the commit sequence (data fsync, data rename, dir sync, manifest
-// fsync, manifest rename, dir sync). The counts are asserted before use
-// so a protocol change updates this table consciously.
+// Hits per save at each site, fixed by the commit protocol and the same
+// for a root and a link: one CheckpointFrame per frame of the format, one
+// CheckpointCommit per step of the commit sequence (data fsync, data
+// rename, dir sync, manifest fsync, manifest rename, dir sync). The
+// counts are asserted before use so a protocol change updates this table
+// consciously.
 const (
-	frameHitsPerSave      = numFrames
-	deltaFrameHitsPerSave = numDeltaFrames
-	commitHitsPerSave     = 6
+	frameHitsPerSave  = numFrames
+	commitHitsPerSave = 6
 )
 
 // TestCheckpointFaultEveryHit forces a failure at EVERY distinct
-// injection point of the save protocol, in both failure modes — a typed
-// I/O error and a crash (panic) — and proves the durability claim each
-// time: after the failure, Restore still yields a fully valid committed
-// generation whose resumed run is byte-equal to the deterministic
-// reference, and a post-restart retry commits normally.
+// injection point of the save protocol, for a root save and for a link
+// save, in both failure modes — a typed I/O error and a crash (panic) —
+// and proves the durability claim each time: after the failure, Restore
+// still yields a fully valid committed generation whose resumed run is
+// byte-equal to the deterministic reference, and a post-restart retry
+// commits normally.
 func TestCheckpointFaultEveryHit(t *testing.T) {
 	st1, _ := midState(t, 31, 400, 2)
 	st2, ref := midState(t, 31, 400, 4)
 	refDigest := DigestMesh(ref)
 
 	// st1 and st2 are boundaries of the SAME deterministic run (midState
-	// replays seed 31 from scratch), so st2 can be saved as a delta over
-	// the generation holding st1.
-	saveSecond := map[fault.Site]func(w *Writer) error{
-		fault.CheckpointFrame:  func(w *Writer) error { _, err := w.Save(st2, Meta{Build: 2}); return err },
-		fault.CheckpointCommit: func(w *Writer) error { _, err := w.Save(st2, Meta{Build: 2}); return err },
-		fault.DeltaFrame:       func(w *Writer) error { _, err := w.SaveDelta(st2, Meta{Build: 1}); return err },
+	// replays seed 31 from scratch), so st2 saved under st1's Meta chains
+	// as a link over the generation holding st1; under another Meta it is
+	// a root.
+	saveSecond := map[Kind]func(w *Writer) error{
+		KindFull:  func(w *Writer) error { _, _, err := w.SaveAuto(st2, Meta{Build: 2}); return err },
+		KindDelta: func(w *Writer) error { _, _, err := w.SaveAuto(st2, Meta{Build: 1}); return err },
 	}
 	for _, tc := range []struct {
 		site fault.Site
+		kind Kind
 		hits int
 	}{
-		{fault.CheckpointFrame, frameHitsPerSave},
-		{fault.DeltaFrame, deltaFrameHitsPerSave},
-		{fault.CheckpointCommit, commitHitsPerSave},
+		{fault.CheckpointFrame, KindFull, frameHitsPerSave},
+		{fault.CheckpointFrame, KindDelta, frameHitsPerSave},
+		{fault.CheckpointCommit, KindFull, commitHitsPerSave},
+		{fault.CheckpointCommit, KindDelta, commitHitsPerSave},
 	} {
 		// Assert the hit count before enumerating: a protocol change that
 		// adds or removes an injection point must fail loudly here rather
@@ -62,22 +64,25 @@ func TestCheckpointFaultEveryHit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewWriter: %v", err)
 			}
-			if _, err := w.Save(st1, Meta{Build: 1}); err != nil {
+			if _, _, err := w.SaveAuto(st1, Meta{Build: 1}); err != nil {
 				t.Fatalf("Save under zero-rate plan: %v", err)
 			}
 			pre := fault.Hits(tc.site)
-			if err := saveSecond[tc.site](w); err != nil {
+			if err := saveSecond[tc.kind](w); err != nil {
 				t.Fatalf("second save under zero-rate plan: %v", err)
 			}
 			if got := fault.Hits(tc.site) - pre; got != uint64(tc.hits) {
-				t.Fatalf("%v fires %d times per save, table says %d — update the table and the enumeration",
-					tc.site, got, tc.hits)
+				t.Fatalf("%v fires %d times per %v save, table says %d — update the table and the enumeration",
+					tc.site, got, tc.kind, tc.hits)
+			}
+			if (w.tip.links > 0) != (tc.kind == KindDelta) {
+				t.Fatalf("second save committed with %d links, want a %v", w.tip.links, tc.kind)
 			}
 		}()
 
 		for hit := 0; hit < tc.hits; hit++ {
 			for _, mode := range []string{"err", "panic"} {
-				t.Run(fmt.Sprintf("%v/hit%d/%s", tc.site, hit, mode), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v/%v/hit%d/%s", tc.site, tc.kind, hit, mode), func(t *testing.T) {
 					dir := t.TempDir()
 					w, err := NewWriter(dir)
 					if err != nil {
@@ -85,7 +90,7 @@ func TestCheckpointFaultEveryHit(t *testing.T) {
 					}
 					// A good older generation first, so a failed newer save
 					// always has a committed fallback.
-					if _, err := w.Save(st1, Meta{Build: 1}); err != nil {
+					if _, _, err := w.SaveAuto(st1, Meta{Build: 1}); err != nil {
 						t.Fatalf("baseline Save: %v", err)
 					}
 
@@ -109,7 +114,7 @@ func TestCheckpointFaultEveryHit(t *testing.T) {
 								}
 							}
 						}()
-						saveErr = saveSecond[tc.site](w)
+						saveErr = saveSecond[tc.kind](w)
 					}()
 					fault.Disable()
 					switch mode {
@@ -147,7 +152,7 @@ func TestCheckpointFaultEveryHit(t *testing.T) {
 					if err != nil {
 						t.Fatalf("NewWriter restart: %v", err)
 					}
-					if _, err := w2.Save(st2, Meta{Build: 2}); err != nil {
+					if _, _, err := w2.SaveAuto(st2, Meta{Build: 2}); err != nil {
 						t.Fatalf("retry Save: %v", err)
 					}
 					got2, meta2, err := Restore(dir)
@@ -161,8 +166,8 @@ func TestCheckpointFaultEveryHit(t *testing.T) {
 }
 
 // scrubHitsPerPass: ScrubVerify fires exactly once per generation file
-// walked, so a chainDir directory (one full image + two deltas) yields
-// three hits per pass.
+// walked, so a chainDir directory (one root + two links) yields three
+// hits per pass.
 const scrubHitsPerPass = 3
 
 // TestScrubFaultEveryHit forces a failure at EVERY ScrubVerify hit of a

@@ -19,6 +19,13 @@
 // length or CRC check, and truncation at a frame boundary leaves the
 // footer missing.
 //
+// Every file holds one image of one kind: a BuildState over a base
+// watermark. A root's base is the empty prefix, so it carries the whole
+// build; a link's base is an earlier generation of the same build, so
+// its log frames carry only the suffix past that watermark and its
+// points frame is empty. The header records the base watermark and the
+// chain binding to the base generation (all zero for a root).
+//
 // Multi-byte integers are little-endian. Element counts inside a payload
 // are cross-checked against the payload length before any allocation, so
 // a decoder's memory use is bounded by the input's actual size — an
@@ -26,13 +33,14 @@
 //
 // # Crash safety
 //
-// Save writes to a dot-prefixed temp file in the target directory, fsyncs
-// it, renames it to its final generation-numbered name, and fsyncs the
-// directory; the manifest recording the newest committed generation is
-// updated with the same protocol. A crash at any byte therefore leaves
-// either the previous generation or a fully valid new one — never a
-// half-written file under a committed name. Restore walks generations
-// newest-first and falls back past any that fail full validation.
+// SaveAuto writes to a dot-prefixed temp file in the target directory,
+// fsyncs it, renames it to its final generation-numbered name, and
+// fsyncs the directory; the manifest recording the newest committed
+// generation is updated with the same protocol. A crash at any byte
+// therefore leaves either the previous generation or a fully valid new
+// one — never a half-written file under a committed name. Restore walks
+// generations newest-first and falls back past any that fail full
+// validation.
 package checkpoint
 
 import (
@@ -46,7 +54,9 @@ const (
 	// format generation (bumped only on incompatible preamble changes).
 	magic = "RIDTCKP1"
 	// version is the frame-layout version within the magic's generation.
-	version = 1
+	// Version 2 gave every image the one header frame; version 1 images
+	// (separate full and delta headers) are rejected as ErrBadVersion.
+	version = 2
 
 	// maxFramePayload caps a single frame's declared length. Frames are
 	// never close to this in practice; the cap exists so corrupt or
@@ -57,8 +67,8 @@ const (
 
 // Frame types, in their required file order.
 const (
-	fHeader   byte = 1 + iota // round, done, n, and the run metadata
-	fPoints                   // input points + 3 bounding corners
+	fHeader   byte = 1 + iota // scalars, base watermark and chain binding
+	fPoints                   // input points + 3 bounding corners (empty for a link)
 	fTriV                     // triangle corner indices, 3 per triangle
 	fELen                     // per-triangle encroacher-list lengths
 	fEVal                     // concatenated encroacher lists
@@ -66,32 +76,17 @@ const (
 	fFinal                    // final triangle ids, ascending
 	fFaces                    // face-map epoch snapshot records
 	fCand                     // candidate face keys for the next round
-	fFooter                   // completion marker (echoes the triangle count)
-	numFrames      = int(fFooter)
-
-	// fDeltaHeader opens a DELTA generation: an incremental checkpoint
-	// holding only the append-only suffix past a recorded base watermark
-	// plus the full mutable remainder. A delta file is the same preamble
-	// followed by fDeltaHeader, fTriV, fELen, fEVal, fDepth, fFinal,
-	// fFaces, fCand, fFooter — the log frames carry the SUFFIX, there is
-	// no points frame (the base has the points), and the footer echoes the
-	// RESULTING log length (base watermark + suffix) as a cross-check.
-	fDeltaHeader   byte = fFooter + 1
-	numDeltaFrames      = numFrames - 1 // no points frame
+	fFooter                   // completion marker (echoes the resulting log length)
+	numFrames = int(fFooter)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // hdrLen is the fixed header-frame payload size: round u32, done u8,
-// n u64, meta (2×u64), Stats (4×u64), PredicateStats (4×u64).
-const hdrLen = 4 + 1 + 8 + 2*8 + 4*8 + 4*8
-
-// dhdrLen is the fixed delta-header payload size: everything hdrLen
-// carries plus the chain-binding fields — base generation u64, base
-// watermark (round u32, tris u64, final u64), and the two prefix digests
-// (CRC32C over the base's triangle-corner stream and final-id stream)
-// that bind the delta to its base's CONTENT, not just its shape.
-const dhdrLen = hdrLen + 8 + (4 + 8 + 8) + 2*4
+// n u64, meta (2×u64), Stats (4×u64), PredicateStats (4×u64), then the
+// base watermark (round u32, tris u64, final u64) and the chain binding
+// (base generation u64 and two CRC32C prefix digests, u32 each).
+const hdrLen = 4 + 1 + 8 + 2*8 + 4*8 + 4*8 + (4 + 8 + 8) + (8 + 2*4)
 
 // Typed decode errors. Every structurally invalid input maps to one of
 // these (possibly wrapped with position detail) — never a panic.
@@ -107,16 +102,17 @@ var (
 	// checkpoint files at all — callers treat it as "start fresh".
 	ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 
-	// ErrDeltaChain marks a delta that cannot be joined to its recorded
+	// ErrInvalidState marks an image whose frames parse but whose state
+	// fails delaunay's BuildState.Validate: an index out of range, a
+	// non-finite point, or a link whose recorded watermark disagrees with
+	// its own suffix.
+	ErrInvalidState = errors.New("checkpoint: invalid build state")
+
+	// ErrDeltaChain marks a link that cannot be joined to its recorded
 	// base: the base generation is missing or invalid, or its watermark,
-	// prefix digests, or run metadata disagree with what the delta
+	// prefix digests, or run metadata disagree with what the link
 	// recorded. Restore treats it like any corruption — fall back.
 	ErrDeltaChain = errors.New("checkpoint: delta chain broken")
-
-	// ErrNoBase is returned by SaveDelta when the writer has no committed
-	// chain tip compatible with the state (fresh writer, different run, or
-	// a state behind the tip); callers fall back to a full Save.
-	ErrNoBase = errors.New("checkpoint: no compatible base generation for a delta")
 )
 
 func frameName(t byte) string {
@@ -141,8 +137,6 @@ func frameName(t byte) string {
 		return "candidates"
 	case fFooter:
 		return "footer"
-	case fDeltaHeader:
-		return "delta-header"
 	}
 	return fmt.Sprintf("frame-%d", t)
 }

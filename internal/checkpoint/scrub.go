@@ -1,21 +1,25 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"repro/internal/delaunay"
 	"repro/internal/fault"
 )
+
+// errUnjudged reports a link whose base file exists but was skipped this
+// pass: the link is left unjudged rather than quarantined.
+var errUnjudged = errors.New("checkpoint: base unverified this pass")
 
 // ScrubResult summarizes one scrub pass over a checkpoint directory.
 type ScrubResult struct {
 	Verified    int // generations read, decoded, and validated clean
 	Skipped     int // generations left unjudged (read error: unverifiable, not provably corrupt)
 	Quarantined int // generations renamed to ckpt-<gen>.bad
-	Repaired    int // promotions of a resolvable state to a fresh full image
+	Repaired    int // promotions of a resolvable state to a fresh root
 	Newest      uint64
 	NewestOK    bool // a restorable generation survived the pass
 }
@@ -38,16 +42,16 @@ func (r ScrubResult) String() string {
 //     provably corrupt: it is renamed to ckpt-<gen>.bad (never silently
 //     deleted — the evidence stays on disk for the operator) and the
 //     directory is fsynced.
-//   - A delta whose recorded base is missing, quarantined, unverified, or
-//     bound to a different content digest is an orphan: equally unable to
-//     restore, equally quarantined.
+//   - A link whose recorded base is missing, quarantined, or bound to a
+//     different content digest is an orphan: equally unable to restore,
+//     equally quarantined. (A link whose base was skipped stays unjudged.)
 //
 // After the walk, if any tip was lost AND a resolvable state survives,
-// the newest such state is promoted to a fresh FULL generation (an
-// ordinary Save: same atomic-commit protocol, counted as a repair), so
-// later deltas chain from an intact base instead of a hole. Finally the
-// advisory MANIFEST is rewritten if it points at a generation that no
-// longer restores.
+// the newest such state is promoted to a fresh root (an ordinary save:
+// same atomic-commit protocol, counted as a repair), so later links
+// chain from an intact base instead of a hole. Finally the advisory
+// MANIFEST is rewritten if it points at a generation that no longer
+// restores.
 //
 // Scrub shares the writer's lock with saves: a pass never races a commit.
 func (w *Writer) Scrub() (ScrubResult, error) {
@@ -72,32 +76,30 @@ func (w *Writer) Scrub() (ScrubResult, error) {
 	newestOnDisk := gens[len(gens)-1]
 
 	// verdicts: what this pass established per generation. A generation
-	// missing from the map was skipped — unverifiable this pass, and
-	// therefore not usable as a base for judging its dependents either.
-	type verdict struct {
-		img *Image
-		st  *resolved // resolved state (full: itself; delta: joined to base)
+	// missing from the map was skipped or quarantined — and therefore not
+	// usable as a base for judging its dependents either.
+	verdicts := make(map[uint64]*resolved, len(gens))
+	base := func(b uint64) (*resolved, error) {
+		if v := verdicts[b]; v != nil {
+			return v, nil
+		}
+		// No verdict for the base this pass. If its file is simply gone
+		// (or already moved to quarantine) the link is a proven orphan; if
+		// the file exists but was skipped as unverifiable, the link stays
+		// unjudged too — skipping a base must not cascade into
+		// quarantining its children.
+		if _, err := os.Stat(filepath.Join(w.dir, ckptName(b))); err == nil {
+			return nil, errUnjudged
+		}
+		return nil, os.ErrNotExist
 	}
-	verdicts := make(map[uint64]*verdict, len(gens))
 
 	// lost records generations this pass PROVED unrestorable (moved to
 	// quarantine). A skipped file is deliberately absent: unverifiable is
 	// not lost, and repairs keyed on it would shadow healthy state.
 	lost := make(map[uint64]bool)
-	quarantine := func(g uint64) {
-		// Rename, never delete: the corrupt bytes are evidence.
-		name := ckptName(g)
-		if err := os.Rename(filepath.Join(w.dir, name), filepath.Join(w.dir, name+badSuffix)); err == nil {
-			syncDir(w.dir)
-			res.Quarantined++
-			lost[g] = true
-		} else {
-			// Could not move it aside; leave it for the next pass.
-			res.Skipped++
-		}
-	}
 
-	// Oldest-first: a delta's base is judged before the delta, so one pass
+	// Oldest-first: a link's base is judged before the link, so one pass
 	// settles every chain without revisiting.
 	for _, g := range gens {
 		if err := fault.InjectErr(fault.ScrubVerify); err != nil {
@@ -109,78 +111,48 @@ func (w *Writer) Scrub() (ScrubResult, error) {
 			res.Skipped++
 			continue
 		}
-		img, err := DecodeAny(data)
-		if err != nil {
-			quarantine(g)
-			continue
+		st, meta, ch, err := Decode(data)
+		if err == nil {
+			st, err = join(g, st, meta, ch, base)
 		}
-		v := &verdict{img: img}
-		switch img.Kind {
-		case KindFull:
-			if err := img.State.Validate(); err != nil {
-				quarantine(g)
-				continue
+		switch {
+		case errors.Is(err, errUnjudged):
+			res.Skipped++
+		case err != nil:
+			// Rename, never delete: the corrupt bytes are evidence.
+			name := ckptName(g)
+			if os.Rename(filepath.Join(w.dir, name), filepath.Join(w.dir, name+badSuffix)) == nil {
+				syncDir(w.dir)
+				res.Quarantined++
+				lost[g] = true
+			} else {
+				// Could not move it aside; leave it for the next pass.
+				res.Skipped++
 			}
-			v.st = &resolved{st: img.State, meta: img.Meta}
-		case KindDelta:
-			if img.Chain.BaseGen >= g {
-				quarantine(g)
-				continue
-			}
-			bv := verdicts[img.Chain.BaseGen]
-			if bv == nil {
-				// No verdict for the base this pass. If its file is simply
-				// gone (or already moved to quarantine) the delta is a
-				// proven orphan; if the file exists but was skipped as
-				// unverifiable, the delta stays unjudged too — skipping a
-				// base must not cascade into quarantining its children.
-				if _, statErr := os.Stat(filepath.Join(w.dir, ckptName(img.Chain.BaseGen))); statErr == nil {
-					res.Skipped++
-					continue
-				}
-				quarantine(g)
-				continue
-			}
-			base, bmeta := bv.st.st, bv.st.meta
-			if bmeta != img.Meta || base.Watermark() != img.Delta.Base ||
-				crcTris(0, base.Tris) != img.Chain.CRCTris || crcFinal(0, base.Final) != img.Chain.CRCFinal {
-				quarantine(g)
-				continue
-			}
-			st, err := delaunay.ApplyDelta(base, img.Delta)
-			if err == nil {
-				err = st.Validate()
-			}
-			if err != nil {
-				quarantine(g)
-				continue
-			}
-			v.st = &resolved{st: st, meta: img.Meta}
+		default:
+			verdicts[g] = &resolved{st: st, meta: meta}
+			res.Verified++
 		}
-		verdicts[g] = v
-		res.Verified++
 	}
 
 	// Find the newest generation that still restores.
 	var newestGood uint64
 	var newestState *resolved
 	for _, g := range gens {
-		if v := verdicts[g]; v != nil && v.st != nil {
-			if g >= newestGood {
-				newestGood, newestState = g, v.st
-			}
+		if v := verdicts[g]; v != nil {
+			newestGood, newestState = g, v
 		}
 	}
 	res.Newest, res.NewestOK = newestGood, newestState != nil
 
 	// Repair: if the newest generation on disk was PROVED lost this pass
-	// and an older state survives, promote that state to a fresh FULL
-	// image so the chain re-roots on an intact base. (A full image also
-	// resets the writer's tip, so subsequent deltas bind to the repaired
-	// root.) A merely-skipped tip never triggers promotion: writing a
-	// newer generation from an older state would shadow healthy progress.
+	// and an older state survives, promote that state to a fresh root so
+	// the chain re-roots on an intact base. (The root also resets the
+	// writer's tip, so subsequent links bind to the repair.) A merely-
+	// skipped tip never triggers promotion: writing a newer generation
+	// from an older state would shadow healthy progress.
 	if newestState != nil && lost[newestOnDisk] {
-		if _, err := w.saveFull(newestState.st, newestState.meta); err == nil {
+		if _, err := w.save(newestState.st, newestState.meta, nil); err == nil {
 			res.Repaired++
 			res.Newest = w.gen - 1
 		}

@@ -1,14 +1,18 @@
 package checkpoint
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/delaunay"
+	"repro/internal/geom"
 )
 
-// chainDir commits a full image and two deltas of one run into a fresh
-// directory, returning the writer and the reference digest.
+// chainDir commits a root and two links of one run into a fresh
+// directory, returning the writer, the run and its metadata.
 func chainDir(t *testing.T, dir string) (*Writer, *liveRun, Meta) {
 	t.Helper()
 	w, err := NewWriter(dir)
@@ -18,14 +22,12 @@ func chainDir(t *testing.T, dir string) (*Writer, *liveRun, Meta) {
 	run := newLiveRun(t, 67, 700)
 	meta := Meta{Seed: 67, Build: 1}
 	run.step(t, 1)
-	if _, err := w.Save(run.lv.CaptureState(), meta); err != nil {
-		t.Fatalf("Save: %v", err)
+	if _, kind, err := w.SaveAuto(run.lv.CaptureState(), meta); err != nil || kind != KindFull {
+		t.Fatalf("SaveAuto: kind %v err %v, want a root", kind, err)
 	}
 	for i := 0; i < 2; i++ {
 		run.step(t, 1)
-		if _, err := w.SaveDelta(run.lv.CaptureState(), meta); err != nil {
-			t.Fatalf("SaveDelta %d: %v", i, err)
-		}
+		saveLink(t, w, run.lv.CaptureState(), meta)
 	}
 	return w, run, meta
 }
@@ -77,16 +79,16 @@ func TestScrubCleanPass(t *testing.T) {
 	}
 }
 
-// TestScrubQuarantinesAndRepairs: with the chain's middle delta corrupted,
+// TestScrubQuarantinesAndRepairs: with the chain's middle link corrupted,
 // one pass must (a) quarantine the corrupt file by rename — never delete;
-// (b) quarantine the now-orphaned delta above it; (c) promote the
-// surviving base to a fresh FULL generation so the directory heals; and
-// (d) leave the directory restoring to that base's state.
+// (b) quarantine the now-orphaned link above it; (c) promote the
+// surviving root to a fresh root generation so the directory heals; and
+// (d) leave the directory restoring to that root's state.
 func TestScrubQuarantinesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
 	w, run, meta := chainDir(t, dir)
 
-	// Corrupt gen 2 (the middle delta).
+	// Corrupt gen 2 (the middle link).
 	p2 := filepath.Join(dir, ckptName(2))
 	data, err := os.ReadFile(p2)
 	if err != nil {
@@ -102,7 +104,7 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 		t.Fatalf("Scrub: %v", err)
 	}
 	if res.Quarantined != 2 {
-		t.Fatalf("scrub quarantined %d files, want 2 (the corrupt delta and its orphan): %+v", res.Quarantined, res)
+		t.Fatalf("scrub quarantined %d files, want 2 (the corrupt link and its orphan): %+v", res.Quarantined, res)
 	}
 	if res.Repaired != 1 {
 		t.Fatalf("scrub repaired %d, want 1 promotion of the surviving base: %+v", res.Repaired, res)
@@ -116,14 +118,14 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 			t.Fatalf("expected quarantine file %s: %v", name, err)
 		}
 	}
-	// The repair is a fresh full generation, newest on disk, and the
-	// manifest points at it.
+	// The repair is a fresh root, newest on disk, and the manifest
+	// points at it.
 	if mg, ok := readManifest(dir); !ok || mg != res.Newest {
 		t.Fatalf("manifest (%016x, %v) after repair, want %016x", mg, ok, res.Newest)
 	}
-	kind, _, err := readImageInfo(filepath.Join(dir, ckptName(res.Newest)))
-	if err != nil || kind != KindFull {
-		t.Fatalf("promoted generation: kind %v err %v, want a full image", kind, err)
+	hdr, ch, err := readHeader(filepath.Join(dir, ckptName(res.Newest)))
+	if err != nil || hdr.Base != (delaunay.Watermark{}) || ch != (Chain{}) {
+		t.Fatalf("promoted generation header: base %+v chain %+v err %v, want a root", hdr.Base, ch, err)
 	}
 	got, gotMeta, err := Restore(dir)
 	if err != nil {
@@ -135,19 +137,17 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 	if d := DigestMesh(finishFrom(t, got)); d != DigestMesh(run.ref) {
 		t.Fatalf("post-repair resume digest %08x, reference %08x", d, DigestMesh(run.ref))
 	}
-	// The writer's tip re-rooted on the repair: the next incremental save
-	// chains from the promoted full image and restores clean.
+	// The writer's tip re-rooted on the repair: the next save is a link
+	// over the promoted root and restores clean.
 	run.step(t, 1)
-	if _, err := w.SaveDelta(run.lv.CaptureState(), meta); err != nil {
-		t.Fatalf("SaveDelta after repair: %v", err)
-	}
+	saveLink(t, w, run.lv.CaptureState(), meta)
 	if _, _, err := Restore(dir); err != nil {
 		t.Fatalf("Restore through post-repair chain: %v", err)
 	}
 }
 
-// TestScrubQuarantinesMissingBaseOrphans: when a delta's base FILE is
-// gone entirely (lost, not corrupt), the dependent deltas are orphans —
+// TestScrubQuarantinesMissingBaseOrphans: when a link's base FILE is
+// gone entirely (lost, not corrupt), the dependent links are orphans —
 // quarantined, not silently deleted — and with no survivor the pass
 // reports nothing restorable rather than inventing a repair.
 func TestScrubQuarantinesMissingBaseOrphans(t *testing.T) {
@@ -161,7 +161,7 @@ func TestScrubQuarantinesMissingBaseOrphans(t *testing.T) {
 		t.Fatalf("Scrub: %v", err)
 	}
 	if res.Quarantined != 2 || res.Verified != 0 {
-		t.Fatalf("scrub of orphaned chain: %+v, want both deltas quarantined", res)
+		t.Fatalf("scrub of orphaned chain: %+v, want both links quarantined", res)
 	}
 	if res.NewestOK || res.Repaired != 0 {
 		t.Fatalf("scrub of empty survivor set claimed newest=%016x ok=%v repaired=%d", res.Newest, res.NewestOK, res.Repaired)
@@ -177,7 +177,7 @@ func TestScrubQuarantinesMissingBaseOrphans(t *testing.T) {
 func TestScrubRewritesStaleManifest(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := chainDir(t, dir)
-	// Corrupt the NEWEST delta (gen 3): gens 1–2 still restore, so no
+	// Corrupt the NEWEST link (gen 3): gens 1–2 still restore, so no
 	// promotion is needed beyond quarantine... but the manifest points at
 	// the dead tip.
 	p3 := filepath.Join(dir, ckptName(3))
@@ -197,7 +197,7 @@ func TestScrubRewritesStaleManifest(t *testing.T) {
 		t.Fatalf("scrub result %+v, want 1 quarantined", res)
 	}
 	// gen 3 was the newest on disk and it was lost, so the pass promotes
-	// the newest survivor (gen 2's resolved state) to a fresh full image.
+	// the newest survivor (gen 2's resolved state) to a fresh root.
 	if res.Repaired != 1 {
 		t.Fatalf("scrub result %+v, want the lost tip repaired by promotion", res)
 	}
@@ -206,5 +206,35 @@ func TestScrubRewritesStaleManifest(t *testing.T) {
 	}
 	if _, _, err := Restore(dir); err != nil {
 		t.Fatalf("Restore after manifest rewrite: %v", err)
+	}
+}
+
+// TestScrubQuarantinesNonFiniteRoot: a root holding a NaN point is
+// well-formed and CRC-valid, so only validation can tell it is corrupt.
+// The pass must quarantine it like any other corrupt file and re-root
+// on the chain below it.
+func TestScrubQuarantinesNonFiniteRoot(t *testing.T) {
+	dir := t.TempDir()
+	w, run, meta := chainDir(t, dir)
+	nan := *run.lv.CaptureState()
+	nan.Pts = append([]geom.Point(nil), nan.Pts...)
+	nan.Pts[3].Y = math.NaN()
+	saveRoot(t, w, &nan, meta) // gen 4
+	res, err := w.Scrub()
+	if err != nil {
+		t.Fatalf("Scrub: %v", err)
+	}
+	if res.Verified != 3 || res.Quarantined != 1 || res.Repaired != 1 {
+		t.Fatalf("scrub result %+v, want 3 verified, the NaN root quarantined and a repair", res)
+	}
+	if bad := badFiles(t, dir); len(bad) != 1 || bad[0] != ckptName(4)+badSuffix {
+		t.Fatalf("quarantine files %v, want the NaN root", bad)
+	}
+	got, _, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("Restore after scrub: %v", err)
+	}
+	if d := DigestMesh(finishFrom(t, got)); d != DigestMesh(run.ref) {
+		t.Fatalf("post-scrub resume digest %08x, reference %08x", d, DigestMesh(run.ref))
 	}
 }

@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/hashtable"
@@ -49,18 +50,28 @@ type FaceRec struct {
 }
 
 // BuildState is a resumable snapshot of a triangulation under
-// construction, captured at a committed round boundary. The slice fields
-// referencing engine storage (Pts, Tris, Depth, Final) are shared and
-// must be treated as immutable; Faces and Cand are copies owned by the
-// state.
+// construction, captured at a committed round boundary, or an increment
+// of one. A complete state has a zero Base. An increment's Base is the
+// watermark of an earlier boundary of the same build: it holds only the
+// append-only suffix past Base (triangle log, depths, final ids) plus the
+// full mutable remainder (faces, candidates, counters), and no points —
+// the complete state below Base has them. Because a triangle's final
+// status is fixed at creation, the two differ only by an appended suffix
+// and a small remainder, so a complete state is just the increment over
+// the empty prefix.
+//
+// The slice fields referencing engine storage (Pts, Tris, Depth, Final)
+// are shared and must be treated as immutable; Faces and Cand are copies
+// owned by the state.
 type BuildState struct {
 	Round int32
 	Done  bool
 	N     int          // input points (excluding the 3 bounding corners)
-	Pts   []geom.Point // input points then the 3 bounding corners
-	Tris  []Tri        // committed triangle-log prefix
-	Depth []int32      // dependence depth per triangle
-	Final []int32      // ids of final triangles, ascending
+	Base  Watermark    // the committed prefix this state extends; zero when complete
+	Pts   []geom.Point // input points then the 3 bounding corners; none past a non-zero Base
+	Tris  []Tri        // committed triangle-log entries past Base.Tris
+	Depth []int32      // dependence depth per entry of Tris
+	Final []int32      // ids of final triangles past Base.Final, ascending
 	Faces []FaceRec    // face-map epoch snapshot at the boundary
 	Cand  []uint64     // candidate faces for the next round, in order
 	Stats Stats
@@ -109,38 +120,24 @@ type Watermark struct {
 	Final int // final-id count
 }
 
-// Watermark returns the committed-prefix watermark of a captured state.
+// Watermark returns the committed-prefix watermark a state reaches: its
+// base plus its own log entries.
 func (st *BuildState) Watermark() Watermark {
-	return Watermark{Round: st.Round, Tris: len(st.Tris), Final: len(st.Final)}
+	return Watermark{Round: st.Round, Tris: st.Base.Tris + len(st.Tris), Final: st.Base.Final + len(st.Final)}
 }
 
-// BuildDelta is the increment between two committed boundaries of ONE
-// build: the append-only suffix past Base (triangle log, depths, final
-// ids — shared slices, immutable) plus the full mutable remainder (face
-// map, candidate list, counters — copies, like BuildState's). Applied to
-// a BuildState whose watermark equals Base, it reconstructs the exact
-// later state; it carries no points (the base has them) and no prefix.
-type BuildDelta struct {
-	Round int32
-	Done  bool
-	N     int       // input points, repeated for structural cross-checks
-	Base  Watermark // the committed prefix this delta extends
-	Tris  []Tri     // triangle-log suffix past Base.Tris
-	Depth []int32   // depth suffix, parallel to Tris
-	Final []int32   // final-id suffix; ids in [Base.Tris, Base.Tris+len(Tris))
-	Faces []FaceRec // full face-map snapshot at the later boundary
-	Cand  []uint64  // full candidate list for the next round
-	Stats Stats
-	Pred  geom.PredicateStats
-}
-
-// DeltaSince slices the increment between since and st out of a captured
-// state. Cost: O(1) shares for the append-only suffixes (they are
-// sub-slices of st's shared storage), zero copies — the faces and
-// candidates are re-shared from st, which already owns them. An encoder
-// walking the result touches O(suffix + faces + candidates) data instead
-// of the whole build, which is the point of an incremental checkpoint.
-func (st *BuildState) DeltaSince(since Watermark) (*BuildDelta, error) {
+// DeltaSince slices the increment past since out of a complete state.
+// Cost: O(1) shares for the append-only suffixes (they are sub-slices of
+// st's shared storage), zero copies — the faces and candidates are
+// re-shared from st, which already owns them. An encoder walking the
+// result touches O(suffix + faces + candidates) data instead of the whole
+// build, which is the point of an incremental checkpoint. The increment
+// over the empty prefix is st itself, so since must name at least the
+// bounding triangle.
+func (st *BuildState) DeltaSince(since Watermark) (*BuildState, error) {
+	if st.Base != (Watermark{}) {
+		return nil, fmt.Errorf("delaunay: delta of an increment (base %+v)", st.Base)
+	}
 	if since.Round < 0 || since.Tris < 1 || since.Final < 0 {
 		return nil, fmt.Errorf("delaunay: delta base watermark %+v malformed", since)
 	}
@@ -148,7 +145,7 @@ func (st *BuildState) DeltaSince(since Watermark) (*BuildDelta, error) {
 		return nil, fmt.Errorf("delaunay: delta base watermark %+v ahead of state (round %d, %d tris, %d final)",
 			since, st.Round, len(st.Tris), len(st.Final))
 	}
-	d := &BuildDelta{
+	d := &BuildState{
 		Round: st.Round,
 		Done:  st.Done,
 		N:     st.N,
@@ -164,88 +161,18 @@ func (st *BuildState) DeltaSince(since Watermark) (*BuildDelta, error) {
 	return d, d.Validate()
 }
 
-// CaptureDelta captures the live build as an increment over since — the
-// watermark of the last committed checkpoint generation. Same call-site
-// contract as CaptureState (publisher goroutine, between Steps); the cost
-// is the mutable remainder (faces + candidates) plus O(1) suffix shares,
-// independent of how much of the build lies below the watermark.
-func (lv *Live) CaptureDelta(since Watermark) (*BuildDelta, error) {
-	return lv.CaptureState().DeltaSince(since)
-}
-
-// Validate is the structural check for a delta in isolation (its base is
-// not at hand): every constraint that must hold for ANY base matching the
-// watermark. Cross-checks against a concrete base are ApplyDelta's job.
-func (d *BuildDelta) Validate() error {
-	if d.N < 0 || d.Round < 0 {
-		return fmt.Errorf("delaunay: delta has negative n (%d) or round (%d)", d.N, d.Round)
+// ApplyDelta joins an increment onto the complete state its Base names,
+// reconstructing the later complete state. The base must match the
+// increment's watermark exactly; deeper identity (is this REALLY the same
+// build, not merely one of the same shape?) is the caller's to verify —
+// the checkpoint restorer binds chains with prefix digests and run
+// metadata before calling this. The result owns fresh concatenated log
+// arrays and shares Pts with the base; neither input is mutated. When
+// both inputs pass Validate, so does the result.
+func ApplyDelta(base, d *BuildState) (*BuildState, error) {
+	if base.Base != (Watermark{}) || d.Base == (Watermark{}) {
+		return nil, fmt.Errorf("delaunay: join needs a complete base and an increment (bases %+v, %+v)", base.Base, d.Base)
 	}
-	if d.Base.Round < 0 || d.Base.Tris < 1 || d.Base.Final < 0 {
-		return fmt.Errorf("delaunay: delta base watermark %+v malformed", d.Base)
-	}
-	if d.Round < d.Base.Round {
-		return fmt.Errorf("delaunay: delta round %d behind its base round %d", d.Round, d.Base.Round)
-	}
-	if len(d.Depth) != len(d.Tris) {
-		return fmt.Errorf("delaunay: %d depths for %d suffix triangles", len(d.Depth), len(d.Tris))
-	}
-	nt := d.Base.Tris + len(d.Tris)
-	npts := int32(d.N + 3)
-	for i, t := range d.Tris {
-		for _, v := range t.V {
-			if v < 0 || v >= npts {
-				return fmt.Errorf("delaunay: suffix triangle %d corner %d out of range [0,%d)", i, v, npts)
-			}
-		}
-		prev := int32(-1)
-		for _, w := range t.E {
-			if w <= prev || int(w) >= d.N {
-				return fmt.Errorf("delaunay: suffix triangle %d has non-ascending or out-of-range encroacher %d", i, w)
-			}
-			prev = w
-		}
-	}
-	// A triangle's final status is fixed at creation (E empty at creation,
-	// final forever — the monotone-final invariant), so every final id
-	// discovered after the base boundary names a SUFFIX triangle.
-	prev := int32(d.Base.Tris) - 1
-	for _, id := range d.Final {
-		if id <= prev || int(id) >= nt {
-			return fmt.Errorf("delaunay: delta final id %d non-ascending or outside the suffix [%d,%d)",
-				id, d.Base.Tris, nt)
-		}
-		prev = id
-	}
-	for _, f := range d.Faces {
-		a, b := faceEnds(f.Key)
-		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
-			return fmt.Errorf("delaunay: delta face key %#x has bad endpoints (%d, %d)", f.Key, a, b)
-		}
-		ent := decFace(f.W0, f.W1)
-		if ent.t0 < 0 || int(ent.t0) >= nt {
-			return fmt.Errorf("delaunay: delta face %#x references triangle %d out of range", f.Key, ent.t0)
-		}
-		if ent.t1 != NoTri && (ent.t1 < 0 || int(ent.t1) >= nt) {
-			return fmt.Errorf("delaunay: delta face %#x references triangle %d out of range", f.Key, ent.t1)
-		}
-	}
-	for _, k := range d.Cand {
-		a, b := faceEnds(k)
-		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
-			return fmt.Errorf("delaunay: delta candidate key %#x has bad endpoints (%d, %d)", k, a, b)
-		}
-	}
-	return nil
-}
-
-// ApplyDelta reconstructs the later boundary state from a base state and
-// the delta captured against it. The base must match the delta's recorded
-// watermark exactly; deeper identity (is this REALLY the same build, not
-// merely one of the same shape?) is the caller's to verify — the
-// checkpoint restorer binds chains with prefix digests and run metadata
-// before calling this. The result owns fresh concatenated log arrays and
-// shares Pts with the base; base and delta are not mutated.
-func ApplyDelta(base *BuildState, d *BuildDelta) (*BuildState, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,55 +201,73 @@ func ApplyDelta(base *BuildState, d *BuildDelta) (*BuildState, error) {
 	return st, nil
 }
 
-// validate rejects states that cannot have come from a committed round
-// boundary: every index must land in range before ResumeLive builds an
-// engine around the data. Deep semantic checks (is this face map really
-// the boundary face map?) are the determinism suite's job; validate's is
-// memory safety and fail-fast on corrupt or adversarial input that got
-// past a decoder.
-func (st *BuildState) validate() error { return st.Validate() }
-
-// Validate is the exported form of the structural check, for callers (the
-// checkpoint restorer) that need to probe a decoded state for corruption
-// without paying for a full engine reconstruction attempt.
+// Validate rejects states that cannot have come from a committed round
+// boundary: every index must land in range, and every point must be
+// finite, before ResumeLive builds an engine around the data (a NaN or
+// infinite coordinate passes every index check and then crashes the
+// first round's predicates). An increment is checked against ANY base
+// matching its watermark: its indices against the log length it
+// reaches, its final ids against its own suffix window, and it must
+// carry no points. Cross-checks against a concrete base are ApplyDelta's
+// job; deep semantic checks (is this face map really the boundary face
+// map?) are the determinism suite's. Validate's is memory safety and
+// fail-fast on corrupt or adversarial input that got past a decoder.
 func (st *BuildState) Validate() error {
 	if st.N < 0 || st.Round < 0 {
 		return fmt.Errorf("delaunay: state has negative n (%d) or round (%d)", st.N, st.Round)
 	}
-	if len(st.Pts) != st.N+3 {
-		return fmt.Errorf("delaunay: state has %d points, want n+3 = %d", len(st.Pts), st.N+3)
+	base := st.Base
+	if base == (Watermark{}) {
+		if len(st.Pts) != st.N+3 {
+			return fmt.Errorf("delaunay: state has %d points, want n+3 = %d", len(st.Pts), st.N+3)
+		}
+		for i, p := range st.Pts {
+			if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+				return fmt.Errorf("delaunay: point %d (%v, %v) is not finite", i, p.X, p.Y)
+			}
+		}
+	} else {
+		if len(st.Pts) != 0 {
+			return fmt.Errorf("delaunay: increment carries %d points (its base holds them)", len(st.Pts))
+		}
+		if base.Round < 0 || base.Tris < 1 || base.Final < 0 || base.Final > base.Tris || base.Round > st.Round {
+			return fmt.Errorf("delaunay: base watermark %+v malformed or ahead of round %d", base, st.Round)
+		}
 	}
-	nt := len(st.Tris)
+	nt := base.Tris + len(st.Tris)
 	if nt < 1 {
 		return fmt.Errorf("delaunay: state has no triangles (the bounding triangle always exists)")
 	}
-	if len(st.Depth) != nt {
-		return fmt.Errorf("delaunay: %d depths for %d triangles", len(st.Depth), nt)
+	if len(st.Depth) != len(st.Tris) {
+		return fmt.Errorf("delaunay: %d depths for %d triangles", len(st.Depth), len(st.Tris))
 	}
 	npts := int32(st.N + 3)
 	for i, t := range st.Tris {
 		for _, v := range t.V {
 			if v < 0 || v >= npts {
-				return fmt.Errorf("delaunay: triangle %d corner %d out of range [0,%d)", i, v, npts)
+				return fmt.Errorf("delaunay: triangle %d corner %d out of range [0,%d)", base.Tris+i, v, npts)
 			}
 		}
 		prev := int32(-1)
 		for _, w := range t.E {
 			if w <= prev || int(w) >= st.N {
-				return fmt.Errorf("delaunay: triangle %d has non-ascending or out-of-range encroacher %d", i, w)
+				return fmt.Errorf("delaunay: triangle %d has non-ascending or out-of-range encroacher %d", base.Tris+i, w)
 			}
 			prev = w
 		}
 	}
-	prev := int32(-1)
+	// A triangle's final status is fixed at creation (E empty at creation,
+	// final forever — the monotone-final invariant), so every final id
+	// discovered past the base names a triangle past it too.
+	prev := base.Tris - 1
 	for _, id := range st.Final {
-		if id <= prev || int(id) >= nt {
-			return fmt.Errorf("delaunay: final id %d non-ascending or out of range [0,%d)", id, nt)
+		if int(id) <= prev || int(id) >= nt {
+			return fmt.Errorf("delaunay: final id %d non-ascending or outside [%d,%d)", id, base.Tris, nt)
 		}
-		if len(st.Tris[id].E) != 0 {
+		if len(st.Tris[int(id)-base.Tris].E) != 0 {
 			return fmt.Errorf("delaunay: final triangle %d has a non-empty encroacher list", id)
 		}
-		prev = id
+		prev = int(id)
 	}
 	for _, f := range st.Faces {
 		a, b := faceEnds(f.Key)
@@ -361,7 +306,10 @@ func (st *BuildState) Validate() error {
 // them afterward (a decoded state never does; a captured one is immutable
 // by construction).
 func ResumeLive(st *BuildState) (*Live, error) {
-	if err := st.validate(); err != nil {
+	if st.Base != (Watermark{}) {
+		return nil, fmt.Errorf("delaunay: cannot resume from an increment (base %+v); join it onto its base first", st.Base)
+	}
+	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 	s := &store{pts: st.Pts, n: st.N, pred: &geom.PredicateStats{}}

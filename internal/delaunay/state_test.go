@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -140,8 +141,9 @@ func TestCaptureSharesCommittedStorage(t *testing.T) {
 	meshEqual(t, "resume from mid-build capture of a finished engine", liveToEnd(t, re), ParTriangulate(pts))
 }
 
-// TestResumeRejectsCorruptState: every index class validate guards must
-// reject a mutated state with an error, never a panic downstream.
+// TestResumeRejectsCorruptState: every index class Validate guards, a
+// non-finite point, and an increment in place of a complete state must
+// each make ResumeLive return an error, never a panic downstream.
 func TestResumeRejectsCorruptState(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(5), 300))
 	lv := NewLive(pts)
@@ -154,7 +156,7 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 			break
 		}
 	}
-	if err := base.validate(); err != nil {
+	if err := base.Validate(); err != nil {
 		t.Fatalf("genuine capture failed validation: %v", err)
 	}
 
@@ -200,6 +202,29 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 		"candidate endpoint out of range": func(st *BuildState) {
 			st.Cand = append(st.Cand, uint64(uint32(st.N+7))<<32|uint64(uint32(st.N+7)))
 		},
+		"nan coordinate": func(st *BuildState) {
+			st.Pts = append([]geom.Point(nil), st.Pts...)
+			st.Pts[1].X = math.NaN()
+		},
+		"+inf coordinate": func(st *BuildState) {
+			st.Pts = append([]geom.Point(nil), st.Pts...)
+			st.Pts[0].Y = math.Inf(1)
+		},
+		"-inf coordinate": func(st *BuildState) {
+			st.Pts = append([]geom.Point(nil), st.Pts...)
+			st.Pts[len(st.Pts)-1].X = math.Inf(-1)
+		},
+		"increment": func(st *BuildState) {
+			// A structurally valid increment is still not a restart point.
+			d, err := st.DeltaSince(Watermark{Tris: 1})
+			if err != nil {
+				t.Fatalf("DeltaSince: %v", err)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("genuine increment failed validation: %v", err)
+			}
+			*st = *d
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := own()
@@ -229,9 +254,9 @@ func TestDeltaApplyEveryBoundary(t *testing.T) {
 			t.Fatalf("Step: %v", err)
 		}
 		cur := lv.CaptureState()
-		d, err := lv.CaptureDelta(prev.Watermark())
+		d, err := cur.DeltaSince(prev.Watermark())
 		if err != nil {
-			t.Fatalf("CaptureDelta(round %d): %v", prev.Round, err)
+			t.Fatalf("DeltaSince(round %d): %v", prev.Round, err)
 		}
 		if d.Base != prev.Watermark() {
 			t.Fatalf("delta base %+v, want %+v", d.Base, prev.Watermark())
@@ -267,9 +292,9 @@ func TestDeltaSpansMultipleRounds(t *testing.T) {
 		}
 	}
 	cur := lv.CaptureState()
-	d, err := lv.CaptureDelta(base.Watermark())
+	d, err := cur.DeltaSince(base.Watermark())
 	if err != nil {
-		t.Fatalf("CaptureDelta over 4 rounds: %v", err)
+		t.Fatalf("DeltaSince over 4 rounds: %v", err)
 	}
 	got, err := ApplyDelta(base, d)
 	if err != nil {
@@ -290,9 +315,9 @@ func TestDeltaRejectsMismatch(t *testing.T) {
 		t.Fatalf("step: more=%v err=%v", more, err)
 	}
 	cur := lv.CaptureState()
-	d, err := lv.CaptureDelta(base.Watermark())
+	d, err := cur.DeltaSince(base.Watermark())
 	if err != nil {
-		t.Fatalf("CaptureDelta: %v", err)
+		t.Fatalf("DeltaSince: %v", err)
 	}
 
 	if _, err := cur.DeltaSince(Watermark{Round: cur.Round + 1, Tris: len(cur.Tris), Final: len(cur.Final)}); err == nil {

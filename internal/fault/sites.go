@@ -75,12 +75,13 @@ const (
 	// successful publication covers the orphaned round, so readers observe
 	// a gap in epochs but never an inconsistent view.
 	EpochPublish
-	// CheckpointFrame fires before each frame write of a checkpoint save
-	// (internal/checkpoint.Writer.Save). Supports Delay, Panic, and Err:
-	// a panic models the process dying with a partial temp file on disk
-	// (the atomic-rename commit has not happened, so the previous
-	// generation is untouched); an injected error models a failed disk
-	// write the saver must surface and abandon the attempt on.
+	// CheckpointFrame fires before each frame write of a checkpoint save,
+	// root or link (internal/checkpoint.Writer.SaveAuto, and the
+	// scrubber's promotion). Supports Delay, Panic, and Err: a panic
+	// models the process dying with a partial temp file on disk (the
+	// atomic-rename commit has not happened, so the previous generation is
+	// untouched); an injected error models a failed disk write the saver
+	// must surface and abandon the attempt on.
 	CheckpointFrame
 	// CheckpointCommit fires at each step of a checkpoint's commit
 	// sequence (fsync file, rename into place, fsync directory, manifest
@@ -88,14 +89,6 @@ const (
 	// commit step leaves either the previous generation or a fully valid
 	// new one — never a torn file under the committed name.
 	CheckpointCommit
-	// DeltaFrame fires before each frame write of a DELTA checkpoint save
-	// (internal/checkpoint.Writer.SaveDelta): the incremental-generation
-	// twin of CheckpointFrame, kept separate so the harnesses can walk the
-	// delta format's frame sequence independently of the full image's.
-	// Supports Delay, Panic, and Err with the same semantics as
-	// CheckpointFrame — the atomic-rename commit has not happened, so a
-	// death or error here costs the delta, never its base chain.
-	DeltaFrame
 	// ScrubVerify fires before the scrubber verifies each on-disk
 	// generation (internal/checkpoint.Writer.Scrub). Supports Delay,
 	// Panic, and Err: an injected error models a transient read failure —
@@ -119,7 +112,6 @@ var siteNames = [NumSites]string{
 	EpochPublish:     "epoch-publish",
 	CheckpointFrame:  "checkpoint-frame",
 	CheckpointCommit: "checkpoint-commit",
-	DeltaFrame:       "delta-frame",
 	ScrubVerify:      "scrub-verify",
 }
 
@@ -136,7 +128,7 @@ func (s Site) String() string {
 func panicCapable(s Site) bool {
 	switch s {
 	case TableMigrate, DelaunayPhase, Type2SubRound, Type3Round, EpochPublish,
-		CheckpointFrame, CheckpointCommit, DeltaFrame, ScrubVerify:
+		CheckpointFrame, CheckpointCommit, ScrubVerify:
 		return true
 	}
 	return false

@@ -20,11 +20,6 @@ func (d Disk) Contains(p Point) bool {
 	return Dist2(d.Center, p) <= d.R2*(1+1e-12)+1e-300
 }
 
-// StrictlyOutside reports whether p lies strictly outside the disk by more
-// than the construction tolerance. The smallest-enclosing-disk algorithm
-// uses this as its "violates current disk" test.
-func (d Disk) StrictlyOutside(p Point) bool { return !d.Contains(p) }
-
 // Radius returns the radius of d (0 for the empty disk).
 func (d Disk) Radius() float64 {
 	if d.R2 < 0 {

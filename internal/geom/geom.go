@@ -233,8 +233,3 @@ func Circumcenter(a, b, c Point) Point {
 	uy := (bx*(cx*cx+cy*cy) - cx*(bx*bx+by*by)) / d
 	return Point{a.X + ux, a.Y + uy}
 }
-
-// CircumradiusSq returns the squared circumradius of triangle (a, b, c).
-func CircumradiusSq(a, b, c Point) float64 {
-	return Dist2(Circumcenter(a, b, c), a)
-}

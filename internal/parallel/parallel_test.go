@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -107,22 +106,13 @@ func TestMinIndexFunc(t *testing.T) {
 	}
 }
 
-func TestFirstIndex(t *testing.T) {
-	n := 100000
-	if got := FirstIndex(0, n, func(i int) bool { return i >= 54321 }); got != 54321 {
-		t.Fatalf("FirstIndex = %d, want 54321", got)
-	}
-	if got := FirstIndex(0, n, func(i int) bool { return false }); got != n {
-		t.Fatalf("FirstIndex no-match = %d, want %d", got, n)
-	}
-}
-
 func TestMinMaxCountAnyAll(t *testing.T) {
 	xs := []int{4, -2, 7, 0}
-	if m := MinFunc(0, len(xs), func(i int) int { return xs[i] }); m != -2 {
+	at := func(i int) int { return xs[i] }
+	if m := Reduce(1, len(xs), xs[0], at, func(a, b int) int { return min(a, b) }); m != -2 {
 		t.Fatalf("min=%d", m)
 	}
-	if m := MaxFunc(0, len(xs), func(i int) int { return xs[i] }); m != 7 {
+	if m := Reduce(1, len(xs), xs[0], at, func(a, b int) int { return max(a, b) }); m != 7 {
 		t.Fatalf("max=%d", m)
 	}
 	if c := Count(0, len(xs), func(i int) bool { return xs[i] > 0 }); c != 2 {
@@ -253,23 +243,6 @@ func TestPackIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestPackIndexAndFilter(t *testing.T) {
-	idx := PackIndex(10, func(i int) bool { return i%3 == 0 })
-	want := []int{0, 3, 6, 9}
-	if len(idx) != len(want) {
-		t.Fatalf("got %v", idx)
-	}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("got %v want %v", idx, want)
-		}
-	}
-	fs := Filter([]string{"a", "bb", "c", "ddd"}, func(s string) bool { return len(s) == 1 })
-	if len(fs) != 2 || fs[0] != "a" || fs[1] != "c" {
-		t.Fatalf("filter got %v", fs)
-	}
-}
-
 func TestMap(t *testing.T) {
 	sq := Map(6, func(i int) int { return i * i })
 	for i, v := range sq {
@@ -324,24 +297,5 @@ func TestPriorityCellZeroPriority(t *testing.T) {
 	}
 	if p, ok := c.Load(); !ok || p != 0 {
 		t.Fatalf("load=(%d,%v) want (0,true)", p, ok)
-	}
-}
-
-func TestMinInt64(t *testing.T) {
-	var a atomic.Int64
-	a.Store(100)
-	For(0, 1000, func(i int) { MinInt64(&a, int64(1000-i)) })
-	if a.Load() != 1 {
-		t.Fatalf("atomic min = %d, want 1", a.Load())
-	}
-}
-
-func TestMinFloat64Bits(t *testing.T) {
-	var a atomic.Uint64
-	a.Store(InfBits)
-	For(0, 100, func(i int) { MinFloat64Bits(&a, float64(i)+0.5) })
-	got := math.Float64frombits(a.Load())
-	if got != 0.5 {
-		t.Fatalf("atomic float min = %v, want 0.5", got)
 	}
 }

@@ -92,48 +92,6 @@ func MinIndexFunc[K Number](lo, hi int, keep func(i int) bool, key func(i int) K
 	return res.idx, res.ok
 }
 
-// FirstIndex returns the smallest i in [lo, hi) with pred(i) true, or hi
-// if none. It delegates to ReduceMinIndex (indices must be non-negative),
-// so predicates that cannot win the reservation may be skipped; pred must
-// be safe for concurrent use and must not mutate shared state.
-func FirstIndex(lo, hi int, pred func(i int) bool) int {
-	idx, ok := ReduceMinIndex(lo, hi, 0, pred)
-	if !ok {
-		return hi
-	}
-	return idx
-}
-
-// MaxFunc returns the maximum of f over [lo, hi); zero value if empty.
-func MaxFunc[T Number](lo, hi int, f func(i int) T) T {
-	if hi <= lo {
-		var zero T
-		return zero
-	}
-	first := f(lo)
-	return Reduce(lo+1, hi, first, f, func(a, b T) T {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// MinFunc returns the minimum of f over [lo, hi); zero value if empty.
-func MinFunc[T Number](lo, hi int, f func(i int) T) T {
-	if hi <= lo {
-		var zero T
-		return zero
-	}
-	first := f(lo)
-	return Reduce(lo+1, hi, first, f, func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
 // Count returns the number of i in [lo, hi) with pred(i) true.
 func Count(lo, hi int, pred func(i int) bool) int {
 	return SumFunc(lo, hi, func(i int) int {

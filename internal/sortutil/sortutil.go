@@ -90,19 +90,6 @@ func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
 	copy(out[k:], b[j:])
 }
 
-// SortInts sorts an int slice ascending in parallel.
-func SortInts(xs []int) { Sort(xs, func(a, b int) bool { return a < b }) }
-
-// IsSorted reports whether xs is non-decreasing under less.
-func IsSorted[T any](xs []T, less func(a, b T) bool) bool {
-	for i := 1; i < len(xs); i++ {
-		if less(xs[i], xs[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Group is one semisort bucket: all record indices sharing a key.
 type Group struct {
 	Key     uint64

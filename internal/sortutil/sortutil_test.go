@@ -8,10 +8,12 @@ import (
 	"repro/internal/rng"
 )
 
+func intLess(a, b int) bool { return a < b }
+
 func TestSortSmall(t *testing.T) {
 	for _, xs := range [][]int{nil, {1}, {2, 1}, {3, 1, 2}, {5, 5, 5}} {
 		cp := append([]int(nil), xs...)
-		SortInts(cp)
+		Sort(cp, intLess)
 		if !sort.IntsAreSorted(cp) {
 			t.Fatalf("not sorted: %v", cp)
 		}
@@ -27,7 +29,7 @@ func TestSortLargeRandom(t *testing.T) {
 		}
 		want := append([]int(nil), xs...)
 		sort.Ints(want)
-		SortInts(xs)
+		Sort(xs, intLess)
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Fatalf("n=%d: position %d: %d vs %d", n, i, xs[i], want[i])
@@ -44,8 +46,8 @@ func TestSortAlreadySortedAndReversed(t *testing.T) {
 		asc[i] = i
 		desc[i] = n - i
 	}
-	SortInts(asc)
-	SortInts(desc)
+	Sort(asc, intLess)
+	Sort(desc, intLess)
 	if !sort.IntsAreSorted(asc) || !sort.IntsAreSorted(desc) {
 		t.Fatal("sorted/reversed inputs mishandled")
 	}
@@ -74,7 +76,7 @@ func TestSortQuick(t *testing.T) {
 			a[i] = int(x)
 		}
 		b := append([]int(nil), a...)
-		SortInts(a)
+		Sort(a, intLess)
 		sort.Ints(b)
 		for i := range a {
 			if a[i] != b[i] {
@@ -85,15 +87,6 @@ func TestSortQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int{1, 2, 2, 3}, func(a, b int) bool { return a < b }) {
-		t.Fatal("sorted reported unsorted")
-	}
-	if IsSorted([]int{2, 1}, func(a, b int) bool { return a < b }) {
-		t.Fatal("unsorted reported sorted")
 	}
 }
 
