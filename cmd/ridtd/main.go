@@ -13,10 +13,12 @@
 //
 // Each build triangulates a fresh n-point instance to completion; with
 // -builds 0 the daemon rebuilds forever (a serving loop), until -timeout
-// elapses or an interrupt (SIGINT or SIGTERM) arrives. Shutdown matches
-// ridt's exit-code contract: 0 on a completed run, 2 on flag errors, 3
-// when canceled by the deadline or a signal (the stats printed are a
-// prefix of the run).
+// elapses or an interrupt (SIGINT or SIGTERM) arrives. Either one stops
+// the build at the next round boundary: the round in flight commits and
+// publishes, and no further round starts. Shutdown matches ridt's
+// exit-code contract: 0 on a completed run, 2 on flag errors, 3 when
+// canceled by the deadline or a signal (the stats printed are a prefix
+// of the run).
 //
 // With -checkpoint the daemon commits a crash-safe checkpoint of the
 // build every -checkpoint-every committed rounds, from the published
@@ -415,7 +417,7 @@ func serveBuild(out io.Writer, lv *delaunay.Live, seed uint64, build, readers in
 	for {
 		more, err := lv.Step(c)
 		if err != nil {
-			done = false // canceled: the engine rolled the round back
+			done = false // canceled at a round boundary: no round ran
 			break
 		}
 		if saver != nil {

@@ -38,15 +38,6 @@ var parBodyArgs = map[string]int{
 	"BlocksIndexed": 3,
 	"BlocksN":       3,
 	"PackInto":      2,
-	// Cancelable and context-driven variants: same bodies, one extra
-	// token/context argument before the closure.
-	"ForCancel":      3,
-	"ForGrainCancel": 4,
-	"BlocksCancel":   4,
-	"BlocksNCancel":  4,
-	"ForCtx":         3,
-	"ForGrainCtx":    4,
-	"BlocksCtx":      4,
 }
 
 // hookFields are the core.Type2Hooks fields whose closures run

@@ -13,27 +13,6 @@ func BlocksIndexed(lo, hi, grain int, body func(b, lo, hi int)) {}
 
 func BlocksN(lo, hi, nb int, body func(b, lo, hi int)) {}
 
-// Canceler and Context stand in for the real cancellation token and
-// context.Context; parclosure matches callee names only, so the types
-// need not match — the closures' positions must.
-type Canceler struct{}
-
-type Context interface{}
-
-func ForCancel(lo, hi int, c *Canceler, body func(i int)) error { return nil }
-
-func ForGrainCancel(lo, hi, grain int, c *Canceler, body func(i int)) error { return nil }
-
-func BlocksCancel(lo, hi, grain int, c *Canceler, body func(lo, hi int)) error { return nil }
-
-func BlocksNCancel(lo, hi, nb int, c *Canceler, body func(b, lo, hi int)) error { return nil }
-
-func ForCtx(ctx Context, lo, hi int, body func(i int)) error { return nil }
-
-func ForGrainCtx(ctx Context, lo, hi, grain int, body func(i int)) error { return nil }
-
-func BlocksCtx(ctx Context, lo, hi, grain int, body func(lo, hi int)) error { return nil }
-
 func PackInto[T any](dst []T, xs []T, keep func(i int) bool, counts []int) ([]T, []int) {
 	return dst, counts
 }

@@ -47,53 +47,26 @@ func pack(dst, xs []int64, counts []int) ([]int64, []int) {
 	return out, cnt
 }
 
-func cancelTotal(xs []int64, c *parallel.Canceler) int64 {
+func blockTotals(totals []int64, xs []int64) int64 {
 	var sum int64
-	parallel.BlocksCancel(0, len(xs), 64, c, func(lo, hi int) {
+	parallel.BlocksIndexed(0, len(xs), 64, func(b, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sum += xs[i] // want `writes captured "sum" from concurrent blocks`
+			totals[b] += xs[i] // negative: block-derived index
+			sum += xs[i]       // want `writes captured "sum" from concurrent blocks`
 		}
 	})
 	return sum
 }
 
-func cancelFill(dst []int64, c *parallel.Canceler) {
-	parallel.ForGrainCancel(0, len(dst), 16, c, func(i int) {
-		dst[i] = int64(i) // negative: index is range-derived
-	})
-}
-
-func cancelBlocks(nexts [][]int64, c *parallel.Canceler) {
-	parallel.BlocksNCancel(0, 100, len(nexts), c, func(b, lo, hi int) {
+func appendBlocks(nexts [][]int64) {
+	parallel.BlocksN(0, 100, len(nexts), func(b, lo, hi int) {
 		nexts[b] = append(nexts[b], int64(lo)) // negative: block-derived index
 	})
 }
 
-func cancelBroadcast(slot []int64, c *parallel.Canceler) {
-	parallel.ForCancel(0, 100, c, func(i int) {
-		slot[0] = int64(i) // want `index that does not depend on the block range`
-	})
-}
-
-func ctxBroadcast(ctx parallel.Context, slot []int64) {
-	parallel.ForCtx(ctx, 0, 100, func(i int) {
-		slot[0] = int64(i) // want `index that does not depend on the block range`
-	})
-}
-
-func ctxTotal(ctx parallel.Context, xs []int64) int64 {
-	var sum int64
-	parallel.BlocksCtx(ctx, 0, len(xs), 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum += xs[i] // want `writes captured "sum" from concurrent blocks`
-		}
-	})
-	return sum
-}
-
-func ctxFill(ctx parallel.Context, dst []int64) {
-	parallel.ForGrainCtx(ctx, 0, len(dst), 16, func(i int) {
-		dst[i] = int64(i) // negative: range-derived index
+func broadcastBlocks(slot []int64) {
+	parallel.BlocksN(0, 100, 4, func(b, lo, hi int) {
+		slot[0] = int64(lo) // want `index that does not depend on the block range`
 	})
 }
 

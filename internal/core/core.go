@@ -110,7 +110,6 @@ func Type1DepthBound(n, k int) float64 {
 // Type2Stats reports what the Algorithm 1 schedule did.
 type Type2Stats struct {
 	N         int
-	Committed int   // iterations fully committed: state equals the sequential state after this prefix
 	Rounds    int   // outer prefix rounds (≈ log2 n)
 	SubRounds int   // total sub-rounds across all rounds
 	Special   int   // special iterations executed (incl. iteration 0)
@@ -175,27 +174,12 @@ const probeWindow0 = 4
 // SpecialOnce windowed schedule once a live prefix exceeds the first
 // probe window.
 func RunType2(n int, h Type2Hooks) Type2Stats {
-	st, _ := RunType2Cancel(n, h, nil)
-	return st
-}
-
-// RunType2Cancel is RunType2 with cooperative cancellation observed at
-// sub-round boundaries: when c cancels, the runner stops before starting
-// another sub-round and returns parallel.ErrCanceled with the stats of
-// the work that committed. Cancellation is prefix-atomic — the returned
-// Committed is a j such that iterations [0, j) have fully committed and
-// none beyond j ran, exactly the state RunType2Seq leaves after j
-// iterations — so hook state is valid for inspection or resumption. A
-// sub-round already started runs to completion (its commit is what keeps
-// the prefix sequential); a nil canceler makes this exactly RunType2.
-func RunType2Cancel(n int, h Type2Hooks, c *parallel.Canceler) (Type2Stats, error) {
 	st := Type2Stats{N: n}
-	if n == 0 || c.Canceled() {
-		return st, canceledErr(c)
+	if n == 0 {
+		return st
 	}
 	h.RunFirst()
 	st.Special++
-	st.Committed = 1
 	j := 1
 	for hi := 2; j < n; hi *= 2 {
 		if hi > n {
@@ -203,13 +187,8 @@ func RunType2Cancel(n int, h Type2Hooks, c *parallel.Canceler) (Type2Stats, erro
 		}
 		st.Rounds++
 		for j < hi {
-			if c.Canceled() {
-				return st, parallel.ErrCanceled
-			}
-			// The fault site sits where the cancel check does: before any
-			// of the sub-round's effects. An injected panic here leaves the
-			// hooks at a committed prefix, the same state a cancellation
-			// would have returned.
+			// The fault site sits before any of the sub-round's effects: an
+			// injected panic here leaves the hooks at a committed prefix.
 			if fault.Enabled {
 				fault.Inject(fault.Type2SubRound)
 			}
@@ -238,19 +217,9 @@ func RunType2Cancel(n int, h Type2Hooks, c *parallel.Canceler) (Type2Stats, erro
 			} else {
 				j = hi
 			}
-			st.Committed = j
 		}
 	}
-	return st, canceledErr(c)
-}
-
-// canceledErr is the exit contract shared with the parallel package's
-// loop variants: parallel.ErrCanceled iff c is canceled at return.
-func canceledErr(c *parallel.Canceler) error {
-	if c.Canceled() {
-		return parallel.ErrCanceled
-	}
-	return nil
+	return st
 }
 
 // probeFull evaluates IsSpecial over the whole live prefix [j, hi) in one
@@ -336,7 +305,6 @@ func RunType2Seq(n int, h Type2Hooks) Type2Stats {
 			} else {
 				j = hi
 			}
-			st.Committed = j
 		}
 	}
 	return st
@@ -346,9 +314,8 @@ func RunType2Seq(n int, h Type2Hooks) Type2Stats {
 
 // Type3Stats reports what the Algorithm 2 schedule did.
 type Type3Stats struct {
-	N         int
-	Committed int // iterations combined into the state: [0, Committed) are final
-	Rounds    int // doubling rounds (= ceil(log2 n))
+	N      int
+	Rounds int // doubling rounds (= ceil(log2 n))
 }
 
 // Type3Hooks supplies the algorithm-specific pieces of Algorithm 2.
@@ -367,33 +334,14 @@ type Type3Hooks struct {
 
 // RunType3 executes n iterations under the Algorithm 2 doubling schedule.
 func RunType3(n int, h Type3Hooks) Type3Stats {
-	st, _ := RunType3Cancel(n, h, nil)
-	return st
-}
-
-// RunType3Cancel is RunType3 with cooperative cancellation observed at
-// round boundaries. Rounds are atomic: a round that starts runs both
-// RunRound and Combine — a canceled round may not skip its Combine,
-// because the eager round results are only sequentially valid after the
-// combine fixes conflicts (dropping it would publish states no
-// sequential prefix produces). When c cancels, the runner returns
-// parallel.ErrCanceled with Committed = the end of the last combined
-// round; the hooks' state equals the sequential state after that prefix
-// (or the refinement the algorithm accepts). A nil canceler makes this
-// exactly RunType3.
-func RunType3Cancel(n int, h Type3Hooks, c *parallel.Canceler) (Type3Stats, error) {
 	st := Type3Stats{N: n}
-	if n == 0 || c.Canceled() {
-		return st, canceledErr(c)
+	if n == 0 {
+		return st
 	}
 	h.RunFirst()
-	st.Committed = 1
 	for lo := 1; lo < n; lo *= 2 {
-		if c.Canceled() {
-			return st, parallel.ErrCanceled
-		}
-		// Pre-round fault site, mirroring the cancel check: a panic here
-		// leaves the state at the last combined round's boundary.
+		// Pre-round fault site: a panic here leaves the state at the last
+		// combined round's boundary.
 		if fault.Enabled {
 			fault.Inject(fault.Type3Round)
 		}
@@ -404,7 +352,6 @@ func RunType3Cancel(n int, h Type3Hooks, c *parallel.Canceler) (Type3Stats, erro
 		st.Rounds++
 		h.RunRound(lo, hi)
 		h.Combine(lo, hi)
-		st.Committed = hi
 	}
-	return st, canceledErr(c)
+	return st
 }

@@ -278,3 +278,53 @@ func TestRunType3SmallN(t *testing.T) {
 		}
 	}
 }
+
+// prefixHooks builds Type2Hooks over a scripted special-set that record
+// which iterations executed.
+func prefixHooks(n int, specialAt map[int]bool) (Type2Hooks, []bool) {
+	executed := make([]bool, n)
+	h := Type2Hooks{
+		RunFirst:  func() { executed[0] = true },
+		IsSpecial: func(k int) bool { return specialAt[k] },
+		RunRegular: func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				executed[k] = true
+			}
+		},
+		RunSpecial: func(k int) { executed[k] = true },
+	}
+	return h, executed
+}
+
+// TestRunType2HookPanicLeavesRunnerReusable is the Type 2 half of the
+// panic-safety tests: a hook panic propagates with its value, and a
+// fresh run on the same pool afterwards completes normally.
+func TestRunType2HookPanicLeavesRunnerReusable(t *testing.T) {
+	func() {
+		defer func() {
+			if r := recover(); r != "hook boom" {
+				t.Fatalf("recovered %v, want the hook's panic value", r)
+			}
+		}()
+		RunType2(100, Type2Hooks{
+			RunFirst:  func() {},
+			IsSpecial: func(k int) bool { return k == 10 },
+			RunRegular: func(lo, hi int) {
+				if lo <= 5 && 5 < hi {
+					panic("hook boom")
+				}
+			},
+			RunSpecial: func(int) {},
+		})
+		t.Fatal("runner returned past a panicking hook")
+	}()
+	h, executed := prefixHooks(200, map[int]bool{9: true})
+	if st := RunType2(200, h); st.N != 200 || st.Special != 2 {
+		t.Fatalf("post-panic run stats %+v, want N=200 with 2 specials", st)
+	}
+	for k, ok := range executed {
+		if !ok {
+			t.Fatalf("post-panic run skipped iteration %d", k)
+		}
+	}
+}

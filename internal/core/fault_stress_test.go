@@ -11,7 +11,7 @@ import (
 // Engine fault stress (ridtfault build): injected deaths at the sub-round
 // and round boundaries must leave the hooks' state at an exact committed
 // boundary — the engines promise prefix (Type 2) and round (Type 3)
-// atomicity to panics exactly as to cancellation.
+// atomicity to panics.
 
 // runToInjectedPanic runs f, reporting whether an injected panic escaped.
 func runToInjectedPanic(t *testing.T, f func()) (died bool) {
@@ -45,7 +45,7 @@ func TestType2InjectedPanicIsPrefixAtomic(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		h, executed := prefixHooks(n, specials, nil, 0)
+		h, executed := prefixHooks(n, specials)
 		died := runToInjectedPanic(t, func() { RunType2(n, h) })
 		if !died {
 			t.Fatalf("seed %d: schedule never fired — raise the rate", seed)
@@ -65,10 +65,8 @@ func TestType2InjectedPanicIsPrefixAtomic(t *testing.T) {
 		}
 		// The runner (a shared pool client) stays fully usable.
 		fault.Disable()
-		h2, ex2 := prefixHooks(n, specials, nil, 0)
-		if st := RunType2(n, h2); st.Committed != n {
-			t.Fatalf("seed %d: post-death run Committed=%d", seed, st.Committed)
-		}
+		h2, ex2 := prefixHooks(n, specials)
+		RunType2(n, h2)
 		for k, ok := range ex2 {
 			if !ok {
 				t.Fatalf("seed %d: post-death run skipped %d", seed, k)

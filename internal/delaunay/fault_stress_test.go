@@ -16,7 +16,7 @@ import (
 // seeded points; the engine's lazy rollback must repair every death, and
 // the survivors' retries must reproduce the exact deterministic mesh.
 
-// stepFaulted runs one stepCancel, translating an injected death into a
+// stepFaulted runs one step, translating an injected death into a
 // retry signal. Any non-injected panic is a real bug and re-panics.
 func stepFaulted(e *roundEngine) (more, died bool) {
 	defer func() {
@@ -27,8 +27,7 @@ func stepFaulted(e *roundEngine) (more, died bool) {
 			more, died = true, true
 		}
 	}()
-	m, _ := e.stepCancel(nil)
-	return m, false
+	return e.step(), false
 }
 
 func runFaultedTriangulation(t *testing.T, pts []geom.Point, cfg fault.Config) (mesh *Mesh, deaths int) {
@@ -56,7 +55,7 @@ func runFaultedTriangulation(t *testing.T, pts []geom.Point, cfg fault.Config) (
 // TestRoundEngineSurvivesPhasePanics injects deaths at the Delaunay phase
 // boundaries only: every recovered death rolls the round back and the
 // retry must re-derive the identical round (stale dedup stamps and all —
-// see cancel.go's harmlessness argument).
+// see rollback.go's harmlessness argument).
 func TestRoundEngineSurvivesPhasePanics(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(31), 1500))
 	want := ParTriangulate(pts)

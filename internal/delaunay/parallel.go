@@ -1,8 +1,12 @@
 package delaunay
 
 import (
+	"sync/atomic"
+
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/hashtable"
+	"repro/internal/parallel"
 )
 
 // This file is the parallel round engine of Algorithm 5 (ParIncrementalDT).
@@ -94,11 +98,11 @@ type roundEngine struct {
 	ar    *roundArena
 	cand  []uint64 // current candidate faces, deduplicated
 	round int32
-	rb    rollbackState // armed per round; see cancel.go
+	rb    rollbackState // armed per round; see rollback.go
 
 	// boundaryHook, when set, is called at each round's phase boundaries
-	// (the stage* constants in cancel.go). Test-only: the rollback and
-	// fault-injection tests use it to cancel or crash at exact points.
+	// (the stage* constants below). Test-only: the rollback and
+	// fault-injection tests use it to crash at exact points.
 	boundaryHook func(stage int)
 }
 
@@ -159,13 +163,193 @@ func attachNewFace(faces *hashtable.LockFreeInline[uint64, faceEntry], fk2 uint6
 	})
 }
 
+// Boundary stages passed to a roundEngine's boundaryHook and matching the
+// DelaunayPhase fault-site hit points: the top of a round (nothing armed),
+// after Phase A (arenas advanced, rollback armed), and after Phase B (face
+// map touched).
+const (
+	stageRoundTop = iota
+	stagePostA
+	stagePostB
+)
+
 // step runs one round; it reports false (and does nothing further) when no
-// face activates, i.e. the triangulation is complete. It is stepCancel
-// (cancel.go) with the never-canceled token: identical phases, zero
-// cancellation cost beyond a nil check per phase boundary.
+// face activates, i.e. the triangulation is complete. A panic escaping a
+// phase leaves the engine dirty; the next step repairs it before doing
+// anything else (rollback.go).
 //
 //ridt:noalloc
 func (e *roundEngine) step() bool {
-	more, _ := e.stepCancel(nil)
-	return more
+	if e.rb.dirty {
+		e.rollback()
+	}
+	if fault.Enabled {
+		fault.Inject(fault.DelaunayPhase) // round top: nothing armed yet
+	}
+	if e.boundaryHook != nil {
+		e.boundaryHook(stageRoundTop)
+	}
+	s, ar, faces := e.s, e.ar, e.faces
+
+	// Activation (scratch-only: safe to discard without rollback).
+	nc := len(e.cand)
+	ar.evalF = growSlice(ar.evalF, nc)
+	ar.evalOK = growSlice(ar.evalOK, nc)
+	cand, evalF, evalOK := e.cand, ar.evalF, ar.evalOK
+	//ridtvet:ignore noalloc one activation closure per round, O(1) against O(m) work
+	parallel.Blocks(0, nc, activationGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			evalOK[i] = false
+			ent, ok := faces.Load(cand[i])
+			if !ok {
+				continue
+			}
+			if ent.t1 == NoTri && !s.isBoundingEdge(cand[i]) {
+				continue // waiting for the second incident triangle
+			}
+			m0, m1 := s.minE(ent.t0), s.minE(ent.t1)
+			switch {
+			case m0 < m1:
+				evalF[i] = fire{cand[i], ent.t0, ent.t1}
+				evalOK[i] = true
+			case m1 < m0:
+				evalF[i] = fire{cand[i], ent.t1, ent.t0}
+				evalOK[i] = true
+			}
+		}
+	})
+	ar.fires, ar.counts = parallel.PackInto(ar.fires, evalF,
+		//ridtvet:ignore noalloc one pack predicate per round, O(1) against O(m) work
+		func(i int) bool { return evalOK[i] }, ar.counts)
+	fires := ar.fires
+	m := len(fires)
+	if m == 0 {
+		return false
+	}
+
+	// Mutation section: arm the rollback snapshot, then move the round.
+	e.arm(m)
+	e.round++
+	round := e.round
+	s.stats.Rounds++
+
+	// Phase A (parallel, read-only on shared state; advances the arenas).
+	nb := parallel.NumBlocks(m, 1)
+	ar.newTris = growSlice(ar.newTris, m)
+	ar.newDepth = growSlice(ar.newDepth, m)
+	ar.preds = growSlice(ar.preds, nb)
+	for i := range ar.preds {
+		ar.preds[i] = geom.PredicateStats{}
+	}
+	newTris, newDepth, preds := ar.newTris, ar.newDepth, ar.preds
+	earenas := ar.eArenas(nb)
+	var tests atomic.Int64
+	//ridtvet:ignore noalloc one Phase A closure per round, O(1) against O(m) work
+	parallel.BlocksN(0, m, nb, func(bi, lo, hi int) {
+		pred := &preds[bi]
+		ea := earenas[bi]
+		var local int64
+		for k := lo; k < hi; k++ {
+			f := fires[k]
+			v := s.minE(f.t)
+			need := len(s.tris[f.t].E)
+			if f.to != NoTri {
+				need += len(s.tris[f.to].E)
+			}
+			buf := ea.take(need)
+			tri, tc := s.newTriData(f.to, f.fk, f.t, v, pred, buf)
+			ea.commit(len(tri.E))
+			local += tc
+			newTris[k] = tri
+			d := s.depth[f.t] + 1
+			if f.to != NoTri && s.depth[f.to]+1 > d {
+				d = s.depth[f.to] + 1
+			}
+			newDepth[k] = d
+		}
+		tests.Add(local)
+	})
+	s.stats.InCircleTests += tests.Load()
+	for i := range preds {
+		s.pred.Merge(preds[i])
+	}
+	if fault.Enabled {
+		fault.Inject(fault.DelaunayPhase) // post-A: arenas advanced, armed
+	}
+	if e.boundaryHook != nil {
+		e.boundaryHook(stagePostA)
+	}
+
+	// Phase B: the triangle append and the face-map installs.
+	e.rb.phaseB = true
+	base := int32(len(s.tris))
+	//ridtvet:ignore noalloc the triangle log is reserved to its final size in newRoundEngine; the append almost never regrows
+	s.tris = append(s.tris, newTris...)
+	//ridtvet:ignore noalloc reserved alongside the triangle log in newRoundEngine
+	s.depth = append(s.depth, newDepth...)
+	s.stats.TrianglesCreated += int64(m)
+
+	ar.dense = growSlice(ar.dense, 3*m)
+	dense := ar.dense
+	//ridtvet:ignore noalloc one Phase B closure per round, O(1) against O(m) work
+	parallel.BlocksN(0, m, nb, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			f := fires[k]
+			id := base + int32(k)
+			k32 := int32(k)
+			v := newTris[k].V
+			// The ripped face now borders the new triangle instead of t.
+			// It fired, so it already has both triangles and cannot be
+			// touched as a new face this round: this fire is its only
+			// toucher and wins its stamp outright.
+			//ridtvet:ignore noalloc the closure does not escape Update and stays on the stack (round allocation pin)
+			faces.Update(f.fk, func(old faceEntry, ok bool) faceEntry {
+				if old.t0 == f.t {
+					old.t0 = id
+				} else {
+					old.t1 = id
+				}
+				old.round, old.claim = round, k32
+				return old
+			})
+			dense[3*k] = f.fk
+			// Register the two new faces of t'. A new face may be touched
+			// by the fire on its other side in the same round (created
+			// there, attached here, in either order) — the claim-min stamp
+			// picks the winner deterministically.
+			a, b := faceEnds(f.fk)
+			apex := v[0] + v[1] + v[2] - a - b
+			nf0, nf1 := faceKey(a, apex), faceKey(b, apex)
+			dense[3*k+1], dense[3*k+2] = nf0, nf1
+			attachNewFace(faces, nf0, id, round, k32)
+			attachNewFace(faces, nf1, id, round, k32)
+		}
+	})
+	if fault.Enabled {
+		fault.Inject(fault.DelaunayPhase) // post-B: face map touched, armed
+	}
+	if e.boundaryHook != nil {
+		e.boundaryHook(stagePostB)
+	}
+
+	// Emission: keep exactly each touched face's winning slot. The flag
+	// pass linearizes after Phase B's barrier, so every load observes the
+	// face's final (round, claim) stamp for this round.
+	ar.keep = growSlice(ar.keep, 3*m)
+	keep := ar.keep
+	//ridtvet:ignore noalloc one emission closure per round, O(1) against O(m) work
+	parallel.Blocks(0, 3*m, emissionGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ent, _ := faces.Load(dense[i])
+			keep[i] = ent.round == round && ent.claim == int32(i/3)
+		}
+	})
+	next, counts := parallel.PackInto(ar.cand, dense,
+		//ridtvet:ignore noalloc one pack predicate per round, O(1) against O(m) work
+		func(i int) bool { return keep[i] }, ar.counts)
+	ar.counts = counts
+	ar.cand = e.cand // recycle the old candidate buffer
+	e.cand = next
+	e.rb.dirty = false // commit: the round is final
+	return true
 }

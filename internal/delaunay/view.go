@@ -299,10 +299,14 @@ func (lv *Live) publish() {
 }
 
 // Step runs one round and publishes the resulting view; it reports
-// whether more rounds remain. On cancellation the round is rolled back
-// (round-atomic, as in stepCancel), no view is published, and the last
-// published view remains exactly current. Not safe for concurrent Step
-// calls — Live has one publisher.
+// whether more rounds remain. The token is checked once per call, at the
+// committed boundary: after the lazy repair of a round a panic abandoned
+// and before the next round arms. A canceled Step therefore runs no
+// round, publishes nothing, leaves the engine clean at the last committed
+// round (so the last published view remains exactly current), and returns
+// parallel.ErrCanceled; a Step already running when the token is canceled
+// completes its round, and the next Step stops. Cancel latency is one
+// round. Not safe for concurrent Step calls — Live has one publisher.
 //
 // Under -tags ridtfault the EpochPublish site fires between the round's
 // commit and its publication: an injected death there models the
@@ -311,10 +315,11 @@ func (lv *Live) publish() {
 // publishes a view covering both rounds — readers see an epoch gap,
 // never an inconsistent view.
 func (lv *Live) Step(c *parallel.Canceler) (bool, error) {
-	more, err := lv.e.stepCancel(c)
-	if err != nil {
-		return false, err
+	lv.e.rollback()
+	if c.Canceled() {
+		return false, parallel.ErrCanceled
 	}
+	more := lv.e.step()
 	if fault.Enabled {
 		fault.Inject(fault.EpochPublish)
 	}

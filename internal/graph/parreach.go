@@ -21,20 +21,8 @@ import (
 // without intra-search parallelism the first round would be fully
 // sequential.
 func ParReachFrom(g *Graph, src int, forward bool, in func(u int) bool) (visited []int32, edgesScanned int64) {
-	visited, edgesScanned, _ = ParReachFromCancel(g, src, forward, in, nil)
-	return visited, edgesScanned
-}
-
-// ParReachFromCancel is ParReachFrom with cooperative cancellation: the
-// token is observed at every frontier-round boundary (and, through
-// BlocksNCancel, at chunk boundaries inside a round's expansion). On
-// cancellation it returns parallel.ErrCanceled together with the visited
-// prefix discovered by the completed frontier rounds — callers that need
-// an all-or-nothing answer must discard it. A nil token is the plain
-// search.
-func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c *parallel.Canceler) (visited []int32, edgesScanned int64, err error) {
 	if !in(src) {
-		return nil, 0, canceledErr(c)
+		return nil, 0
 	}
 	if !forward {
 		g.EnsureReverse()
@@ -58,7 +46,7 @@ func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c 
 		// finer grain costs only lane-local claims on the stealing pool.
 		nb := parallel.NumBlocks(len(frontier), 8)
 		claims := make([][]claim, nb)
-		if err := parallel.BlocksNCancel(0, len(frontier), nb, c, func(bi, blo, bhi int) {
+		parallel.BlocksN(0, len(frontier), nb, func(bi, blo, bhi int) {
 			var local []claim
 			var scanned int64
 			for k := blo; k < bhi; k++ {
@@ -75,11 +63,7 @@ func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c 
 			}
 			claims[bi] = local
 			edges.Add(scanned)
-		}); err != nil {
-			// The round expanded an arbitrary subset of its blocks; the
-			// visited prefix still holds only fully discovered rounds.
-			return visited, edges.Load(), err
-		}
+		})
 		// A vertex's final owner made exactly one claim, so keeping the
 		// claims that still match appends each new vertex once, in block
 		// order: the next frontier does not depend on the schedule.
@@ -92,15 +76,7 @@ func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c 
 			}
 		}
 	}
-	return visited, edges.Load(), canceledErr(c)
-}
-
-// canceledErr mirrors the parallel package's exit contract.
-func canceledErr(c *parallel.Canceler) error {
-	if c.Canceled() {
-		return parallel.ErrCanceled
-	}
-	return nil
+	return visited, edges.Load()
 }
 
 // lowerOwner lowers *o to pos unless it already holds a position no larger

@@ -73,3 +73,60 @@ func TestParReachEdgeCount(t *testing.T) {
 		t.Fatalf("edges scanned = %d, want 49", edges)
 	}
 }
+
+// bfsOrder is the sequential level-by-level reference for ParReachFrom's
+// visit order: a FIFO search in which each vertex is appended when its
+// earliest-queued discoverer scans it, in that discoverer's adjacency
+// order.
+func bfsOrder(g *Graph, src int, forward bool, in func(u int) bool) []int32 {
+	if !in(src) {
+		return nil
+	}
+	seen := make([]bool, g.N)
+	seen[src] = true
+	order := []int32{int32(src)}
+	for head := 0; head < len(order); head++ {
+		for _, v := range g.Neighbors(int(order[head]), forward) {
+			if !seen[v] && in(int(v)) {
+				seen[v] = true
+				order = append(order, v)
+			}
+		}
+	}
+	return order
+}
+
+// TestParReachFromOrderMatchesBFS pins ParReachFrom's visit order, not
+// just its visit set: over random directed graphs of varying density, in
+// both directions and with and without a membership restriction, the
+// order equals the sequential BFS order at whatever worker count runs
+// the test.
+func TestParReachFromOrderMatchesBFS(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 240; trial++ {
+		n := 2 + r.Intn(600)
+		g := GnmDirected(r, n, (1+r.Intn(6))*n, false)
+		src := r.Intn(n)
+		excluded := make([]bool, n)
+		if trial%2 == 1 {
+			for u := range excluded {
+				excluded[u] = r.Intn(8) == 0
+			}
+			excluded[src] = false
+		}
+		in := func(u int) bool { return !excluded[u] }
+		for _, forward := range []bool{true, false} {
+			got, _ := ParReachFrom(g, src, forward, in)
+			want := bfsOrder(g, src, forward, in)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d fwd=%v: %d visits, BFS reaches %d", trial, forward, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d fwd=%v: visit %d is vertex %d, BFS order has %d",
+						trial, forward, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

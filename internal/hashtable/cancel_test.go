@@ -8,14 +8,16 @@ import (
 	"repro/internal/parallel"
 )
 
-// Cancellation stress for the growable table (and the Map oracle): a
-// cancel-aware parallel insert loop is cut short while cooperative
-// migration is in flight, the abandoned table is flattened, and its
-// surviving contents are checked for exact equivalence against an oracle
-// of the writes that actually executed. This is the contract the round
-// engines rely on when a round is canceled mid-growth: every write that
-// ran is present with its final value, no write is duplicated, lost, or
-// corrupted, and the table stays fully usable afterwards.
+// Abandoned-loop stress for the growable table (and the Map oracle): a
+// parallel insert loop is stopped partway — its bodies poll a stop flag
+// raised after a quarter of the writes, the way a caller abandons work
+// mid-loop — while cooperative migration is in flight. The abandoned
+// table is flattened and its surviving contents are checked for exact
+// equivalence against an oracle of the writes that actually executed:
+// every write that ran is present with its final value, no write is
+// duplicated, lost, or corrupted, and the table stays fully usable
+// afterwards. The table never sees the flag; what it must survive is a
+// growth whose mutators simply stop arriving.
 
 func intHasher(k int) uint64 { return uint64(k) }
 
@@ -27,27 +29,28 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 	)
 	for trial := 0; trial < trials; trial++ {
 		h := mk()
-		var c parallel.Canceler
+		var stop atomic.Bool
 		var executed sync.Map // oracle: key -> value, recorded by the writes that ran
 		var count atomic.Int64
 		cutoff := int64(n / 4)
 
-		err := parallel.ForGrainCancel(0, n, 64, &c, func(i int) {
+		parallel.ForGrain(0, n, 64, func(i int) {
+			if stop.Load() {
+				return
+			}
 			k := i
 			v := i*3 + trial
-			// Record-then-write: the oracle holds a superset of completed
-			// writes... but a write that landed must match the oracle. To
-			// keep oracle and table atomic w.r.t. cancellation, write the
-			// table first and record after — then the oracle is a subset
-			// and every oracle entry must be in the table.
+			// Write the table first and record after: the oracle is then a
+			// subset of the completed writes, and every oracle entry must
+			// be in the table.
 			h.Store(k, v)
 			executed.Store(k, v)
 			if count.Add(1) == cutoff {
-				c.Cancel()
+				stop.Store(true)
 			}
 		})
-		if err == nil {
-			t.Fatalf("trial %d: cancel never observed", trial)
+		if count.Load() == n {
+			t.Fatalf("trial %d: the stop flag never cut the loop short", trial)
 		}
 
 		// The loop has returned: no mutators remain. Flatten must complete
@@ -68,7 +71,7 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 			return true
 		})
 		if missing > 0 {
-			t.Fatalf("trial %d: %d completed writes missing after cancel+flatten", trial, missing)
+			t.Fatalf("trial %d: %d completed writes missing after stop+flatten", trial, missing)
 		}
 		// And nothing is present that was never written: every surviving
 		// key decodes to the value this trial's writes would have given it.
@@ -84,7 +87,7 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 			h.Store(i, i*3+trial)
 		}
 		if got := h.Len(); got != n {
-			t.Fatalf("trial %d: post-cancel refill Len = %d, want %d", trial, got, n)
+			t.Fatalf("trial %d: post-stop refill Len = %d, want %d", trial, got, n)
 		}
 	}
 }

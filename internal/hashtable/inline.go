@@ -675,9 +675,10 @@ func (h *LockFreeInline[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 // Flatten drives any in-flight migration to completion, so the root table
 // is a plain flat array. Phase operation: callers must quiesce mutators
 // first. Bulk operations (Len, Range, Clear, ...) call it implicitly; it
-// is exported so cancellation and crash-recovery paths can prove a table
-// is migration-free — and hence fully usable by per-key and bulk
-// operations alike — after a round is abandoned mid-growth.
+// is exported so a caller that abandoned a loop mid-growth — a recovered
+// panic, or bodies that stopped early on a flag of their own — can prove
+// the table migration-free, and hence fully usable by per-key and bulk
+// operations alike.
 func (h *LockFreeInline[K, V]) Flatten() {
 	h.assertQuiesced("Flatten")
 	h.flatten()

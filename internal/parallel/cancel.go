@@ -1,46 +1,33 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 )
 
-// Cooperative cancellation for the loop primitives.
+// Cooperative cancellation token.
 //
-// A Canceler is a level-triggered token: once Cancel is called, every
-// *Cancel loop variant observing it stops claiming new work, drains the
-// unclaimed remainder, and returns ErrCanceled. Cancellation is
-// cooperative and bounded — each participant finishes at most the grain's
-// worth of iterations it had already started, so at most
-// MaxProcs()*grain iterations execute after Cancel returns (plus the
-// chunks other participants had claimed but not begun, each of which is
-// abandoned at its next grain boundary). Results of iterations that did
-// run are exactly what the sequential loop would have produced for those
-// indices: cancellation never perturbs which iteration maps to which
-// chunk, only how many chunks run.
+// A Canceler is a level-triggered, one-way token: once Cancel is called,
+// Canceled reports true forever. The loop primitives never observe it —
+// they are plain fork-join and always run every iteration. Callers check
+// the token at their own commit points, where stopping leaves a state
+// worth keeping: delaunay.Live.Step checks it once per round, before the
+// round arms, and Epoch.Await checks it while it waits. A loop body that
+// wants to stop early polls Canceled itself.
 //
 // The token is a single atomic word. Checking it is a nil-safe atomic
 // load, Cancel is an atomic store; both are safe from any goroutine,
 // including loop bodies and signal handlers. A nil *Canceler is a valid
-// "never canceled" token: the *Cancel variants degrade to their plain
-// counterparts at zero cost.
-//
-// Panic propagation is unchanged by cancellation: if a body panics, the
-// first panic value is re-raised on the caller even if the token was also
-// canceled — a panic is an answer, cancellation is the lack of one.
+// "never canceled" token.
 
-// ErrCanceled is returned by the *Cancel and *Ctx loop variants when the
-// loop's token was canceled by the time the loop returned. The loop may
-// still have completed every iteration (cancellation racing completion);
-// callers treating ErrCanceled as "results are partial" are always safe.
+// ErrCanceled is returned by the entry points that take a token
+// (Epoch.Await here, delaunay.Live's Step and Run) when they stopped
+// because the token was canceled.
 var ErrCanceled = errors.New("parallel: loop canceled")
 
-// Canceler is a cooperative cancellation token shared by a loop's
-// participants. The zero value is ready to use. A Canceler may be reused
-// across loops (cancel applies to all loops observing it) but not reset:
-// cancellation is one-way. See ContextCanceler to derive one from a
-// context deadline.
+// Canceler is a cooperative cancellation token. The zero value is ready
+// to use. A Canceler may be shared by any number of observers but not
+// reset: cancellation is one-way.
 type Canceler struct {
 	flag atomic.Uint32
 }
@@ -59,162 +46,4 @@ func (c *Canceler) Cancel() {
 //ridt:noalloc
 func (c *Canceler) Canceled() bool {
 	return c != nil && c.flag.Load() != 0
-}
-
-// ContextCanceler returns a Canceler that cancels when ctx does, and a
-// stop function releasing the link (call it when the loops sharing the
-// token are done; it does not un-cancel). If ctx is already done the
-// token comes back canceled.
-func ContextCanceler(ctx context.Context) (*Canceler, func()) {
-	c := &Canceler{}
-	if ctx.Err() != nil {
-		// AfterFunc on a done context fires asynchronously; cancel
-		// synchronously so a loop started right after sees the token down
-		// before claiming anything.
-		c.Cancel()
-		return c, func() {}
-	}
-	stop := context.AfterFunc(ctx, c.Cancel)
-	return c, func() { stop() }
-}
-
-// errIfCanceled implements the exit contract shared by every *Cancel
-// variant: ErrCanceled iff the token is canceled when the loop returns.
-func errIfCanceled(c *Canceler) error {
-	if c.Canceled() {
-		return ErrCanceled
-	}
-	return nil
-}
-
-// ForCancel is For with a cancellation token: body(i) runs for i in
-// [lo, hi) unless c is canceled first, in which case the loop stops
-// claiming work, drains, and returns ErrCanceled. A nil token makes it
-// exactly For.
-func ForCancel(lo, hi int, c *Canceler, body func(i int)) error {
-	return ForGrainCancel(lo, hi, 0, c, body)
-}
-
-// ForGrainCancel is ForGrain with a cancellation token. The token is
-// checked between grain-sized runs of iterations inside each chunk, so a
-// participant executes at most ~grain iterations past observing
-// cancellation regardless of chunk size. grain <= 0 selects DefaultGrain.
-func ForGrainCancel(lo, hi, grain int, c *Canceler, body func(i int)) error {
-	if c == nil {
-		ForGrain(lo, hi, grain, body)
-		return nil
-	}
-	n := hi - lo
-	if n <= 0 {
-		return errIfCanceled(c)
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	nb := chunksFor(n, grain)
-	if nb <= 1 || MaxProcs() == 1 {
-		runSpanCancel(lo, hi, grain, c, body)
-		return errIfCanceled(c)
-	}
-	runLoopCancel(nb, c, func(b int) {
-		s, e := chunkBounds(lo, hi, b, nb)
-		runSpanCancel(s, e, grain, c, body)
-	})
-	return errIfCanceled(c)
-}
-
-// runSpanCancel runs body over [lo, hi) in grain-sized runs, re-checking
-// the token before each run. It is the sub-chunk check loop that turns
-// per-chunk cancellation into per-grain cancellation.
-func runSpanCancel(lo, hi, grain int, c *Canceler, body func(i int)) {
-	for s := lo; s < hi; {
-		if c.Canceled() {
-			return
-		}
-		e := s + grain
-		if e > hi {
-			e = hi
-		}
-		for i := s; i < e; i++ {
-			body(i)
-		}
-		s = e
-	}
-}
-
-// BlocksCancel is Blocks with a cancellation token, checked before each
-// block. Blocks are opaque to the scheduler, so cancellation granularity
-// is one block: a body that runs long past the grain should poll
-// c.Canceled itself.
-func BlocksCancel(lo, hi, grain int, c *Canceler, body func(lo, hi int)) error {
-	if c == nil {
-		Blocks(lo, hi, grain, body)
-		return nil
-	}
-	n := hi - lo
-	if n <= 0 {
-		return errIfCanceled(c)
-	}
-	runBlocksCancel(lo, hi, chunksFor(n, grain), c, func(_, s, e int) { body(s, e) })
-	return errIfCanceled(c)
-}
-
-// BlocksNCancel is BlocksN with a cancellation token, checked before each
-// block. The partition is pinned by the caller exactly as in BlocksN:
-// block b, when it runs, covers the same index range cancellation or not.
-func BlocksNCancel(lo, hi, nb int, c *Canceler, body func(b, lo, hi int)) error {
-	if c == nil {
-		BlocksN(lo, hi, nb, body)
-		return nil
-	}
-	n := hi - lo
-	if n <= 0 {
-		return errIfCanceled(c)
-	}
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > n {
-		nb = n
-	}
-	runBlocksCancel(lo, hi, nb, c, body)
-	return errIfCanceled(c)
-}
-
-func runBlocksCancel(lo, hi, nb int, c *Canceler, body func(b, lo, hi int)) {
-	if nb == 1 || MaxProcs() == 1 {
-		for b := 0; b < nb; b++ {
-			if c.Canceled() {
-				return
-			}
-			s, e := chunkBounds(lo, hi, b, nb)
-			body(b, s, e)
-		}
-		return
-	}
-	runLoopCancel(nb, c, func(b int) {
-		s, e := chunkBounds(lo, hi, b, nb)
-		body(b, s, e)
-	})
-}
-
-// ForCtx is ForCancel driven by a context: the loop stops early when ctx
-// is done and reports ErrCanceled. The context link is released before
-// returning.
-func ForCtx(ctx context.Context, lo, hi int, body func(i int)) error {
-	return ForGrainCtx(ctx, lo, hi, 0, body)
-}
-
-// ForGrainCtx is ForGrainCancel driven by a context.
-func ForGrainCtx(ctx context.Context, lo, hi, grain int, body func(i int)) error {
-	c, stop := ContextCanceler(ctx)
-	defer stop()
-	return ForGrainCancel(lo, hi, grain, c, body)
-}
-
-// BlocksCtx is BlocksCancel driven by a context.
-func BlocksCtx(ctx context.Context, lo, hi, grain int, body func(lo, hi int)) error {
-	c, stop := ContextCanceler(ctx)
-	defer stop()
-	return BlocksCancel(lo, hi, grain, c, body)
 }

@@ -12,10 +12,10 @@ const minIndexPollStride = 64
 // It is the reservation step of a deterministic reserve/commit round
 // (GBBS-style): every index in the range races to reserve a shared
 // priority-write cell (PriorityCell) with its own index as the priority,
-// and the smallest reservation wins. Unlike MinIndexFunc — a tree
-// reduction that evaluates every predicate — chunks consult the cell
-// before and during their scan and abandon work that can no longer win, so
-// the expected number of predicate evaluations is proportional to the
+// and the smallest reservation wins. Unlike a tree reduction (Reduce),
+// which evaluates every predicate, chunks consult the cell before and
+// during their scan and abandon work that can no longer win, so the
+// expected number of predicate evaluations is proportional to the
 // winning index's position, not the range width, while the result stays
 // deterministic (always the minimum). Determinism survives the stealing
 // scheduler because it never depends on which lane runs a chunk or in what

@@ -94,18 +94,6 @@ func TestReduceOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestMinIndexFunc(t *testing.T) {
-	xs := []int{5, 3, 9, 3, 7}
-	idx, ok := MinIndexFunc(0, len(xs), func(i int) bool { return true }, func(i int) int { return xs[i] })
-	if !ok || idx != 1 {
-		t.Fatalf("idx=%d ok=%v, want 1 true (ties break left)", idx, ok)
-	}
-	idx, ok = MinIndexFunc(0, len(xs), func(i int) bool { return xs[i] > 100 }, func(i int) int { return xs[i] })
-	if ok {
-		t.Fatalf("expected no match, got idx=%d", idx)
-	}
-}
-
 func TestMinMaxCountAnyAll(t *testing.T) {
 	xs := []int{4, -2, 7, 0}
 	at := func(i int) int { return xs[i] }
@@ -114,15 +102,6 @@ func TestMinMaxCountAnyAll(t *testing.T) {
 	}
 	if m := Reduce(1, len(xs), xs[0], at, func(a, b int) int { return max(a, b) }); m != 7 {
 		t.Fatalf("max=%d", m)
-	}
-	if c := Count(0, len(xs), func(i int) bool { return xs[i] > 0 }); c != 2 {
-		t.Fatalf("count=%d", c)
-	}
-	if !Any(0, len(xs), func(i int) bool { return xs[i] == 7 }) {
-		t.Fatal("Any failed")
-	}
-	if All(0, len(xs), func(i int) bool { return xs[i] > 0 }) {
-		t.Fatal("All should be false")
 	}
 }
 
@@ -240,15 +219,6 @@ func TestPackIntoSteadyStateAllocs(t *testing.T) {
 	// multi-worker runs), never O(n).
 	if allocs > 16 {
 		t.Fatalf("PackInto allocs/op = %v, want O(1) <= 16 (GOMAXPROCS=%d)", allocs, MaxProcs())
-	}
-}
-
-func TestMap(t *testing.T) {
-	sq := Map(6, func(i int) int { return i * i })
-	for i, v := range sq {
-		if v != i*i {
-			t.Fatalf("map[%d]=%d", i, v)
-		}
 	}
 }
 

@@ -150,7 +150,7 @@ func (s *rangeSlot) install(lo, hi int) bool {
 }
 
 // drainAll empties the lane and returns how many chunks it removed. Used by
-// panic cancellation to account for everything not yet claimed.
+// the panic sweep to account for everything not yet claimed.
 //
 //ridt:noalloc
 func (s *rangeSlot) drainAll() int64 {
@@ -169,10 +169,9 @@ func (s *rangeSlot) drainAll() int64 {
 // loopTask is one parallel loop in flight on the pool.
 type loopTask struct {
 	body     func(chunk int)
-	cancel   *Canceler // nil for plain loops: Canceled() is then false forever
 	slots    []rangeSlot
 	nextLane atomic.Int64 // lane assignment for arriving helpers
-	pending  atomic.Int64 // chunks distributed but not yet run-or-cancelled
+	pending  atomic.Int64 // chunks distributed but not yet run or swept
 	done     chan struct{}
 	panicked atomic.Bool
 	panicVal any
@@ -196,7 +195,7 @@ func newLoopTask(nchunks int, body func(chunk int)) *loopTask {
 	return t
 }
 
-// finish accounts n consumed (run or cancelled) chunks and closes done when
+// finish accounts n consumed (run or swept) chunks and closes done when
 // the last one lands. Exactly one accounting happens per chunk — by whoever
 // removed it from a lane, or by the panic sweep — so the close fires once.
 func (t *loopTask) finish(n int64) {
@@ -228,7 +227,7 @@ func (t *loopTask) runChunk(c int) {
 func (t *loopTask) runRange(lo, hi int) {
 	defer t.finish(int64(hi - lo))
 	for c := lo; c < hi; c++ {
-		if t.panicked.Load() || t.cancel.Canceled() {
+		if t.panicked.Load() {
 			return
 		}
 		t.runChunk(c)
@@ -245,28 +244,6 @@ func (t *loopTask) recordPanic(r any) {
 		return
 	}
 	t.panicVal = r
-	var removed int64
-	for i := range t.slots {
-		removed += t.slots[i].drainAll()
-	}
-	if removed > 0 {
-		t.finish(removed)
-	}
-}
-
-// cancelDrain sweeps every lane empty on behalf of a participant that has
-// observed cancellation. It is deliberately re-runnable by EVERY observer
-// (unlike the panic path's once-only record): a thief may have stolen a
-// batch before one observer's sweep and install it back after, so a
-// single sweep can miss re-exposed chunks — if installers then returned
-// without draining, those chunks would strand and done would never close.
-// With every observer draining all lanes before returning, the last
-// participant to touch the task always sees (and drains) whatever was
-// re-exposed; drainAll's CAS removes each chunk exactly once across all
-// concurrent sweepers, so accounting stays exact.
-//
-//ridt:noalloc
-func (t *loopTask) cancelDrain() {
 	var removed int64
 	for i := range t.slots {
 		removed += t.slots[i].drainAll()
@@ -301,14 +278,6 @@ func (t *loopTask) steal(lane int) (lo, hi int, ok bool) {
 //ridt:noalloc
 func (t *loopTask) participate(lane int) {
 	for {
-		// A canceled task is drained, not claimed from. Every observer
-		// drains (see cancelDrain) — returning without draining could
-		// strand chunks a concurrent thief re-exposed after another
-		// observer's sweep.
-		if t.cancel.Canceled() {
-			t.cancelDrain()
-			return
-		}
 		if fault.Enabled {
 			fault.Inject(fault.SchedClaim)
 			if fault.SkipClaim(fault.SchedClaim) {
@@ -440,39 +409,6 @@ func runLoop(nchunks int, body func(chunk int)) {
 		nchunks -= maxRangeChunks
 	}
 	t := newLoopTask(nchunks, body)
-	runTask(t)
-}
-
-// runLoopCancel is runLoop with a cancellation token threaded into the
-// task: participants stop claiming and drain once c cancels. The caller's
-// contract (partial progress, ErrCanceled at exit) lives in the public
-// wrappers; here cancellation only affects how much of the loop runs.
-// Panics still propagate with their original value even when canceled.
-func runLoopCancel(nchunks int, c *Canceler, body func(chunk int)) {
-	if nchunks <= 0 || c.Canceled() {
-		return
-	}
-	if nchunks == 1 || MaxProcs() == 1 {
-		for ch := 0; ch < nchunks; ch++ {
-			if c.Canceled() {
-				return
-			}
-			body(ch)
-		}
-		return
-	}
-	for nchunks > maxRangeChunks {
-		runLoopCancel(maxRangeChunks, c, body)
-		if c.Canceled() {
-			return
-		}
-		off := maxRangeChunks
-		rest := body
-		body = func(ch int) { rest(off + ch) }
-		nchunks -= maxRangeChunks
-	}
-	t := newLoopTask(nchunks, body)
-	t.cancel = c
 	runTask(t)
 }
 

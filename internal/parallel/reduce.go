@@ -62,52 +62,3 @@ func SumFunc[T Number](lo, hi int, f func(i int) T) T {
 func Sum[T Number](xs []T) T {
 	return SumFunc(0, len(xs), func(i int) T { return xs[i] })
 }
-
-// MinIndexFunc returns the smallest index i in [lo, hi) for which
-// keep(i) is true and key(i) is minimal, breaking ties toward the smaller
-// index. ok is false when no index satisfies keep.
-//
-// This is the "find first special iteration" primitive of the paper's Type 2
-// runner (Algorithm 1, line 7) and the min(E(t)) selection of Algorithm 5.
-func MinIndexFunc[K Number](lo, hi int, keep func(i int) bool, key func(i int) K) (idx int, ok bool) {
-	type cand struct {
-		idx int
-		ok  bool
-	}
-	res := Reduce(lo, hi, cand{-1, false},
-		func(i int) cand { return cand{i, keep(i)} },
-		func(a, b cand) cand {
-			if !a.ok {
-				return b
-			}
-			if !b.ok {
-				return a
-			}
-			ka, kb := key(a.idx), key(b.idx)
-			if ka < kb || (ka == kb && a.idx < b.idx) {
-				return a
-			}
-			return b
-		})
-	return res.idx, res.ok
-}
-
-// Count returns the number of i in [lo, hi) with pred(i) true.
-func Count(lo, hi int, pred func(i int) bool) int {
-	return SumFunc(lo, hi, func(i int) int {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Any reports whether pred holds for any i in [lo, hi).
-func Any(lo, hi int, pred func(i int) bool) bool {
-	return Count(lo, hi, pred) > 0
-}
-
-// All reports whether pred holds for every i in [lo, hi).
-func All(lo, hi int, pred func(i int) bool) bool {
-	return Count(lo, hi, pred) == hi-lo
-}

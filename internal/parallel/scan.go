@@ -197,10 +197,3 @@ func PackInto[T any](dst []T, xs []T, keep func(i int) bool, counts []int) ([]T,
 	})
 	return dst, counts
 }
-
-// Map applies f to each element index of a fresh slice of length n.
-func Map[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	For(0, n, func(i int) { out[i] = f(i) })
-	return out
-}

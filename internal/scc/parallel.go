@@ -28,21 +28,6 @@ import (
 // The combine is a semisort over this round's visit triples, exactly like
 // the LE-list combine, and is deterministic.
 func Parallel(g *graph.Graph) (Labels, Stats) {
-	l, st, _ := ParallelCancel(g, nil)
-	return l, st
-}
-
-// ParallelCancel is Parallel with cooperative cancellation, observed
-// between doubling rounds, between pivots inside a round, and at the
-// frontier rounds of the intra-search parallel reachability. Rounds are
-// atomic: a round whose searches were cut short discards ALL of its visits
-// before the combine, because carving or hash-refining on partial
-// reachability could place two vertices of one SCC in different partitions
-// — a split no later round could undo. On cancellation it returns nil
-// labels (the committed rounds' carvings are internally consistent but a
-// partial labeling is not a meaningful output), the partial-progress
-// stats, and parallel.ErrCanceled; a nil token is exactly Parallel.
-func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error) {
 	n := g.N
 	var st Stats
 	g.EnsureReverse()
@@ -59,14 +44,9 @@ func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error)
 		fwd    bool
 	}
 	var roundVisits [][]visit // per pivot slot, filled in parallel
-	discarded := false        // this round was cut short: combine must no-op
 
 	runRound := func(lo, hi int) {
 		roundVisits = make([][]visit, hi-lo)
-		discarded = c.Canceled()
-		if discarded {
-			return
-		}
 		works := make([]int64, hi-lo)
 		counts := make([]int64, hi-lo)
 		searched := make([]int, hi-lo)
@@ -86,17 +66,8 @@ func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error)
 			var w1, w2 int64
 			if useParSearch {
 				var vf, vb []int32
-				var err error
-				vf, w1, err = graph.ParReachFromCancel(g, k, true, in, c)
-				if err != nil {
-					discarded = true
-					return
-				}
-				vb, w2, err = graph.ParReachFromCancel(g, k, false, in, c)
-				if err != nil {
-					discarded = true
-					return
-				}
+				vf, w1 = graph.ParReachFrom(g, k, true, in)
+				vb, w2 = graph.ParReachFrom(g, k, false, in)
 				r1, r2 = len(vf), len(vb)
 				for _, u := range vf {
 					local = append(local, visit{target: u, pivot: int32(k), fwd: true})
@@ -118,19 +89,14 @@ func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error)
 			searched[k-lo] = 2
 		}
 		if useParSearch {
-			for k := lo; k < hi && !discarded; k++ {
+			for k := lo; k < hi; k++ {
 				runPivot(k)
 			}
 		} else {
 			// Grain 1: each pivot runs a whole reachability search, the
 			// most skewed body in the repo; steal-based rebalancing is
 			// essential so one giant search never pins a lane's queue.
-			// Cancellation here skips whole pivots (a started search runs
-			// to completion); the skipped slots stay nil and the round is
-			// discarded below.
-			if parallel.ForGrainCancel(lo, hi, 1, c, runPivot) != nil {
-				discarded = true
-			}
+			parallel.ForGrain(lo, hi, 1, runPivot)
 		}
 		st.ReachWork += parallel.Sum(works)
 		st.Visits += parallel.Sum(counts)
@@ -140,15 +106,6 @@ func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error)
 	}
 
 	combine := func(lo, hi int) {
-		if discarded {
-			// Round-atomic discard: the visit set is a truncated sample of
-			// the round's reachability, so neither carving nor refining is
-			// sound on it. Dropping it wholesale leaves the state exactly
-			// at the previous round's boundary; the caller sees ErrCanceled
-			// at the next round top.
-			roundVisits = nil
-			return
-		}
 		total := 0
 		for _, vs := range roundVisits {
 			total += len(vs)
@@ -225,14 +182,10 @@ func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error)
 		RunRound: runRound,
 		Combine:  combine,
 	}
-	t3, err := core.RunType3Cancel(n, hooks, c)
-	st.Rounds = t3.Rounds
-	if err != nil {
-		return nil, st, err
-	}
+	st.Rounds = core.RunType3(n, hooks).Rounds
 	labels, num := canonicalizePar(scc)
 	st.NumSCCs = num
-	return labels, st, nil
+	return labels, st
 }
 
 // canonicalizePar is Canonicalize + CountSCCs fused for the parallel path:

@@ -93,6 +93,17 @@ func TestCycle(t *testing.T) {
 	}
 }
 
+// TestParallelGiantSCCMatchesTarjan: one giant SCC makes the first round a
+// single pivot, so on two or more workers its searches run on the
+// frontier-parallel ParReachFrom over the whole graph; the labeling must
+// still match Tarjan.
+func TestParallelGiantSCCMatchesTarjan(t *testing.T) {
+	g := graph.CycleChords(rng.New(54), 4000, 2)
+	if got := mustPar(g); !SamePartition(got, Tarjan(g)) {
+		t.Fatal("giant-SCC labeling disagrees with Tarjan")
+	}
+}
+
 func TestEmptyEdges(t *testing.T) {
 	g := graph.FromEdges(10, nil, false)
 	for _, labels := range []Labels{Tarjan(g), mustSeq(g), mustPar(g)} {
