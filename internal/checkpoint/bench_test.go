@@ -4,8 +4,8 @@ package checkpoint
 // BENCH_checkpoint.json and gated by the CI bench job. Write and Restore
 // price the background saver's work (off the build's critical path);
 // the synchronous cost a checkpoint adds to the publisher is
-// BenchmarkCheckpointOverhead in internal/delaunay, measured against
-// BenchmarkSnapshotPublish.
+// BenchmarkCheckpointOverhead in internal/delaunay, budgeted as a share
+// of a traced perfbench serve build.
 
 import (
 	"os"

@@ -342,8 +342,14 @@ func ResumeLive(st *BuildState) (*Live, error) {
 		e:       e,
 		scanned: len(s.tris),
 		final:   append([]int32(nil), st.Final...),
+		ix:      newLocIndex(s.pts, s.n),
 		done:    st.Done,
 	}
-	lv.pub.PublishAt(buildView(s, e.round, lv.final, lv.done), uint64(e.round)+1)
+	// One pass over the restored finals, in the order the uninterrupted
+	// run appended them, rebuilds the index that run holds at this round.
+	for _, id := range lv.final {
+		lv.ix.add(s.pts, id, s.tris[id].V)
+	}
+	lv.pub.PublishAt(lv.buildView(), uint64(e.round)+1)
 	return lv, nil
 }

@@ -27,20 +27,29 @@ func liveToEnd(t *testing.T, lv *Live) *Mesh {
 // committed round boundary and proves each one is a sufficient restore
 // point: the resumed run must produce the byte-identical mesh and stats
 // of the uninterrupted reference — the determinism contract that makes a
-// checkpoint a prefix of the one true run rather than a fork.
+// checkpoint a prefix of the one true run rather than a fork. The
+// restored view must also answer Locate exactly as the uninterrupted
+// run's view at the same round did: ResumeLive rebuilds the same index.
+// Input points are among the queries: several final triangles contain
+// each, so the answer there pins the index's traversal order too.
 func TestCaptureResumeEveryBoundary(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(61), 900))
 	want := ParTriangulate(pts)
+	qs := viewQueries(9, 100)
+	for i := 0; i < len(pts); i += 9 {
+		qs = append(qs, pts[i])
+	}
 
 	lv := NewLive(pts)
-	var states []*BuildState
-	states = append(states, lv.CaptureState()) // round 0: bare bounding triangle
+	states := []*BuildState{lv.CaptureState()} // round 0: bare bounding triangle
+	answers := [][]locAns{locateAll(lv.View(), qs)}
 	for {
 		more, err := lv.Step(nil)
 		if err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 		states = append(states, lv.CaptureState())
+		answers = append(answers, locateAll(lv.View(), qs))
 		if !more {
 			break
 		}
@@ -52,11 +61,16 @@ func TestCaptureResumeEveryBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ResumeLive(round %d): %v", st.Round, err)
 		}
-		if v := re.View(); v.Round() != st.Round {
-			t.Fatalf("restored view at round %d, want %d", v.Round(), st.Round)
+		v := re.View()
+		if v.Round() != st.Round || v.Done() != st.Done {
+			t.Fatalf("restored view at round %d (done %v), want %d (done %v)", v.Round(), v.Done(), st.Round, st.Done)
+		}
+		for k, a := range locateAll(v, qs) {
+			if a != answers[i][k] {
+				t.Fatalf("round %d: restored Locate(%v) = %+v, uninterrupted run %+v", st.Round, qs[k], a, answers[i][k])
+			}
 		}
 		meshEqual(t, "resumed from boundary", liveToEnd(t, re), want)
-		_ = i
 	}
 }
 

@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/geom"
@@ -20,6 +21,16 @@ import (
 // makes a consistent point-in-time view of a half-built triangulation
 // cheap: a view is (committed triangle-log prefix, final-id watermark),
 // both immutable once the round that produced them commits.
+//
+// The same invariant makes the location index append-only. The grid is
+// fixed once per build (input bounding box, side from n), and the
+// publisher extends a per-cell linked index with only each round's new
+// finals, so publication costs O(new finals + cells) instead of a full
+// re-bin. A mid-build view holds capped prefixes of the index's entries
+// and wide list plus its own copy of the cell heads: immutable, with no
+// atomics on the read path. The publication that completes the build
+// compacts the index once into CSR form for the long-lived finished
+// view.
 //
 // Live wraps the engine and publishes a MeshView at every committed
 // round boundary (PR 7's transactional-round commit point) through a
@@ -42,19 +53,10 @@ type MeshView struct {
 	tris  []Tri   // committed triangle-log prefix (shared, immutable)
 	final []int32 // ids of final triangles (E empty at creation), ascending
 
-	// Location grid over the final triangles: the input bounding box is
-	// binned into ~len(final) cells; each final triangle is listed in
-	// every cell its own bounding box overlaps (clamped into the grid the
-	// same way queries are, so a triangle containing q is always listed
-	// in q's cell). Triangles spanning more than wideSpan cells — the
-	// handful of hull triangles reaching the far-away bounding corners —
-	// go to the wide list, scanned on every query.
-	ox, oy     float64
-	invW, invH float64 // cells per unit in x / y
-	gw, gh     int
-	cellStart  []int32
-	cellTris   []int32
-	wide       []int32
+	// This view's copy of the location index: capped prefixes of the
+	// publisher's entries and wide list plus its own copy of the cell
+	// heads mid-build, the compacted CSR form once done.
+	locIndex
 }
 
 // Round is the committed round this view was published at (0 = the
@@ -92,40 +94,33 @@ func (v *MeshView) Corners(t int32) [3]int32 { return v.tris[t].V }
 //ridt:noalloc
 func (v *MeshView) Point(i int32) geom.Point { return v.pts[i] }
 
-// gridCells caps the location grid's side so a huge view cannot make the
-// per-publication rebuild quadratic in memory.
+// gridCells caps the location grid's side, which bounds the head copy
+// every mid-build view takes (4 bytes per cell: 4 MB at the cap).
 const gridCells = 1024
 
-// buildView snapshots the store into an immutable view. Serial, called
-// from the publisher at the committed boundary; cost O(final + cells)
-// per publication (the honest total over a run is O(n) per round — see
-// DESIGN.md for why a rebuilt grid was chosen over shared mutable
-// indices).
-func buildView(s *store, round int32, final []int32, done bool) *MeshView {
-	v := &MeshView{
-		round: round,
-		done:  done,
-		pts:   s.pts,
-		n:     s.n,
-		tris:  s.tris[:len(s.tris):len(s.tris)],
-		final: final[:len(final):len(final)],
-	}
-	nf := len(v.final)
-	if nf == 0 {
-		return v
-	}
-	// Domain: the input bounding box (the bounding corners sit ~50 widths
-	// outside and would dilute the grid to uselessness). Queries and
-	// triangle bins clamp into it identically.
-	dom := v.pts[:v.n]
-	if v.n == 0 {
-		dom = v.pts
+// locGrid is the location grid's geometry, fixed once per build. Its
+// domain is the input bounding box: the bounding corners sit ~50 widths
+// outside and would dilute the grid to uselessness. Queries and triangle
+// bins clamp into it identically.
+type locGrid struct {
+	ox, oy     float64
+	invW, invH float64 // cells per unit in x / y
+	side       int32   // cells per row and per column
+}
+
+// newLocGrid fixes the grid for a build over n input points (pts holds
+// them, then the 3 bounding corners). The side ⌊√(2n+1)⌋+1 puts about
+// one cell under each of the 2n+1 triangles the finished mesh has.
+func newLocGrid(pts []geom.Point, n int) locGrid {
+	dom := pts[:n]
+	if n == 0 {
+		dom = pts
 	}
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, p := range dom {
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
+		minX, minY = min(minX, p.X), min(minY, p.Y)
+		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
 	}
 	w, h := maxX-minX, maxY-minY
 	if w <= 0 {
@@ -134,80 +129,149 @@ func buildView(s *store, round int32, final []int32, done bool) *MeshView {
 	if h <= 0 {
 		h = 1
 	}
-	g := int(math.Sqrt(float64(nf))) + 1
+	g := int(math.Sqrt(float64(2*n+1))) + 1
 	if g > gridCells {
 		g = gridCells
 	}
-	v.gw, v.gh = g, g
-	v.ox, v.oy = minX, minY
-	v.invW = float64(g) / w
-	v.invH = float64(g) / h
-
-	// CSR build: count per cell, prefix-sum, fill.
-	wideSpan := int32(v.gw + v.gh)
-	counts := make([]int32, v.gw*v.gh+1)
-	spanOf := func(id int32) (cx0, cx1, cy0, cy1 int32, wide bool) {
-		tv := v.tris[id].V
-		a, b, c := v.pts[tv[0]], v.pts[tv[1]], v.pts[tv[2]]
-		bx0, bx1 := math.Min(a.X, math.Min(b.X, c.X)), math.Max(a.X, math.Max(b.X, c.X))
-		by0, by1 := math.Min(a.Y, math.Min(b.Y, c.Y)), math.Max(a.Y, math.Max(b.Y, c.Y))
-		cx0, cy0 = v.cellXY(bx0, by0)
-		cx1, cy1 = v.cellXY(bx1, by1)
-		wide = (cx1-cx0+1)*(cy1-cy0+1) > wideSpan
-		return
-	}
-	for _, id := range v.final {
-		cx0, cx1, cy0, cy1, wide := spanOf(id)
-		if wide {
-			v.wide = append(v.wide, id)
-			continue
-		}
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				counts[cy*int32(v.gw)+cx+1]++
-			}
-		}
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	v.cellStart = counts
-	v.cellTris = make([]int32, counts[len(counts)-1])
-	next := make([]int32, v.gw*v.gh)
-	copy(next, counts[:len(counts)-1])
-	for _, id := range v.final {
-		cx0, cx1, cy0, cy1, wide := spanOf(id)
-		if wide {
-			continue
-		}
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				c := cy*int32(v.gw) + cx
-				v.cellTris[next[c]] = id
-				next[c]++
-			}
-		}
-	}
-	return v
+	return locGrid{ox: minX, oy: minY, invW: float64(g) / w, invH: float64(g) / h, side: int32(g)}
 }
 
 // cellXY maps a coordinate into its (clamped) grid cell.
 //
 //ridt:noalloc
-func (v *MeshView) cellXY(x, y float64) (cx, cy int32) {
-	cx = int32((x - v.ox) * v.invW)
-	cy = int32((y - v.oy) * v.invH)
+func (gr *locGrid) cellXY(x, y float64) (cx, cy int32) {
+	cx = int32((x - gr.ox) * gr.invW)
+	cy = int32((y - gr.oy) * gr.invH)
 	if cx < 0 {
 		cx = 0
-	} else if cx >= int32(v.gw) {
-		cx = int32(v.gw) - 1
+	} else if cx >= gr.side {
+		cx = gr.side - 1
 	}
 	if cy < 0 {
 		cy = 0
-	} else if cy >= int32(v.gh) {
-		cy = int32(v.gh) - 1
+	} else if cy >= gr.side {
+		cy = gr.side - 1
 	}
 	return
+}
+
+// locEntry lists final triangle tri in one cell; next is the cell's
+// previous (older) entry, or -1.
+type locEntry struct{ tri, next int32 }
+
+// locIndex lists every final triangle in each cell its bounding box
+// overlaps, clamped into the grid the same way queries are, so a
+// triangle containing q is always listed in q's cell. Triangles spanning
+// more than 2·side cells — the handful of hull triangles reaching the
+// far-away bounding corners — go to the wide list, scanned on every
+// query. The publisher's index is append-only: entries are written once
+// and every next link points to an older entry, so a view's capped
+// prefix plus its copy of the heads never sees a later append. Mid-build
+// a cell's run is walked from head through ents, newest first; the
+// completing publication compacts it into CSR form (cellStart, cellTris:
+// ids ascending per cell).
+type locIndex struct {
+	locGrid
+	head []int32 // per cell: newest entry, or -1
+	ents []locEntry
+	wide []int32
+
+	// The CSR form, set once by compact (head and ents are dropped then).
+	cellStart, cellTris []int32
+}
+
+// newLocIndex starts an empty index on the grid newLocGrid fixes.
+func newLocIndex(pts []geom.Point, n int) locIndex {
+	ix := locIndex{locGrid: newLocGrid(pts, n)}
+	ix.head = make([]int32, int(ix.side)*int(ix.side))
+	for i := range ix.head {
+		ix.head[i] = -1
+	}
+	return ix
+}
+
+// span returns the cells triangle tv's bounding box overlaps, clamped
+// into the grid, and whether that is more than 2·side cells (a wide
+// triangle, listed apart).
+func (gr *locGrid) span(pts []geom.Point, tv [3]int32) (cx0, cy0, cx1, cy1 int32, wide bool) {
+	a, b, c := pts[tv[0]], pts[tv[1]], pts[tv[2]]
+	cx0, cy0 = gr.cellXY(min(a.X, b.X, c.X), min(a.Y, b.Y, c.Y))
+	cx1, cy1 = gr.cellXY(max(a.X, b.X, c.X), max(a.Y, b.Y, c.Y))
+	return cx0, cy0, cx1, cy1, (cx1-cx0+1)*(cy1-cy0+1) > 2*gr.side
+}
+
+// add lists final triangle id (corners tv) in every cell it overlaps, or
+// on the wide list.
+func (ix *locIndex) add(pts []geom.Point, id int32, tv [3]int32) {
+	cx0, cy0, cx1, cy1, wide := ix.span(pts, tv)
+	if wide {
+		ix.wide = append(ix.wide, id)
+		return
+	}
+	ents, head := ix.ents, ix.head
+	for cy := cy0; cy <= cy1; cy++ {
+		for cx := cx0; cx <= cx1; cx++ {
+			cell := cy*ix.side + cx
+			ents = append(ents, locEntry{tri: id, next: head[cell]})
+			head[cell] = int32(len(ents) - 1)
+		}
+	}
+	ix.ents = ents
+}
+
+// compact freezes the index into CSR form: per cell, its ids ascending,
+// the layout a full re-bin produces. Entries were appended in ascending
+// id order, so one walk per cell reads its run newest-first and the
+// copied run is reversed in place. The finished view is read for as
+// long as the mesh is served: in this form it returns, for a query on a
+// shared edge or corner, the same triangle a full re-bin would, and its
+// Locate avoids the linked walk, which costs 6–9% on that view
+// (BenchmarkSnapshotReadLocate).
+func (ix *locIndex) compact() {
+	start := make([]int32, len(ix.head)+1)
+	ids := make([]int32, 0, len(ix.ents))
+	for c, e := range ix.head {
+		lo := len(ids)
+		for ; e >= 0; e = ix.ents[e].next {
+			ids = append(ids, ix.ents[e].tri)
+		}
+		slices.Reverse(ids[lo:])
+		start[c+1] = int32(len(ids))
+	}
+	ix.cellStart, ix.cellTris = start, ids
+	ix.head, ix.ents = nil, nil
+}
+
+// buildView snapshots the committed state into an immutable view: capped
+// prefixes of the triangle log, the final ids, the index entries and
+// the wide list, plus a copy of the cell heads. Serial, called from the
+// publisher at the committed boundary; O(cells) per publication, on top
+// of collect's O(new finals) index extension. The publication that
+// completes the build compacts the index once (compact) and hands the
+// finished view its CSR form.
+func (lv *Live) buildView() *MeshView {
+	s, ix := lv.e.s, &lv.ix
+	v := &MeshView{
+		round:    lv.e.round,
+		done:     lv.done,
+		pts:      s.pts,
+		n:        s.n,
+		tris:     s.tris[:len(s.tris):len(s.tris)],
+		final:    lv.final[:len(lv.final):len(lv.final)],
+		locIndex: locIndex{locGrid: ix.locGrid, wide: ix.wide[:len(ix.wide):len(ix.wide)]},
+	}
+	switch {
+	case len(v.final) == 0:
+	case lv.done:
+		if ix.cellStart == nil {
+			ix.compact()
+		}
+		v.cellStart, v.cellTris = ix.cellStart, ix.cellTris
+	default:
+		v.head = append([]int32(nil), ix.head...)
+		v.ents = ix.ents[:len(ix.ents):len(ix.ents)]
+	}
+	return v
 }
 
 // triContains reports whether q lies in triangle id (boundary inclusive;
@@ -235,11 +299,17 @@ func (v *MeshView) Locate(q geom.Point) (int32, bool) {
 	if len(v.final) == 0 {
 		return NoTri, false
 	}
-	if v.gw > 0 {
-		cx, cy := v.cellXY(q.X, q.Y)
-		c := cy*int32(v.gw) + cx
+	cx, cy := v.cellXY(q.X, q.Y)
+	c := cy*v.side + cx
+	if v.cellStart != nil {
 		for _, id := range v.cellTris[v.cellStart[c]:v.cellStart[c+1]] {
 			if v.triContains(id, q) {
+				return id, true
+			}
+		}
+	} else {
+		for e := v.head[c]; e >= 0; e = v.ents[e].next {
+			if id := v.ents[e].tri; v.triContains(id, q) {
 				return id, true
 			}
 		}
@@ -268,6 +338,7 @@ type Live struct {
 	pub     parallel.Epoch[MeshView]
 	scanned int     // triangle-log prefix already scanned for finals
 	final   []int32 // accumulated final ids, ascending
+	ix      locIndex
 	done    bool
 }
 
@@ -276,18 +347,21 @@ type Live struct {
 // view (the bare bounding triangle).
 func NewLive(pts []geom.Point) *Live {
 	lv := &Live{e: newRoundEngine(pts)}
+	lv.ix = newLocIndex(lv.e.s.pts, lv.e.s.n)
 	lv.collect()
 	lv.done = len(pts) == 0
 	lv.publish()
 	return lv
 }
 
-// collect extends the final-id watermark over newly committed triangles.
+// collect extends the final-id watermark and the location index over
+// newly committed triangles.
 func (lv *Live) collect() {
 	s := lv.e.s
 	for i := lv.scanned; i < len(s.tris); i++ {
 		if len(s.tris[i].E) == 0 {
 			lv.final = append(lv.final, int32(i))
+			lv.ix.add(s.pts, int32(i), s.tris[i].V)
 		}
 	}
 	lv.scanned = len(s.tris)
@@ -295,7 +369,7 @@ func (lv *Live) collect() {
 
 // publish builds and publishes the view for the current committed state.
 func (lv *Live) publish() {
-	lv.pub.Publish(buildView(lv.e.s, lv.e.round, lv.final, lv.done))
+	lv.pub.Publish(lv.buildView())
 }
 
 // Step runs one round and publishes the resulting view; it reports

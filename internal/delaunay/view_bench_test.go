@@ -101,14 +101,35 @@ func BenchmarkSnapshotReadIncident(b *testing.B) {
 	_ = found
 }
 
-// BenchmarkSnapshotPublish prices the publisher's per-round overhead in
-// isolation: rebuilding and publishing the view for a completed store
-// (grid rebuild is the dominant term; see DESIGN.md for the O(final)
-// argument).
+// publishNewFinals is BenchmarkSnapshotPublish's round size: about the
+// largest round of its 16Ki-point build (1.7–2.1k new finals per round at
+// most on uniform, disk and lattice inputs; 437 on average over 75 rounds).
+const publishNewFinals = 2048
+
+// BenchmarkSnapshotPublish prices one round's publication at a stated
+// count of new finals: collect extends the final ids and the location
+// index over the last publishNewFinals finals of a finished 16Ki-point
+// build (scanning the triangle log from the first of them), and publish
+// copies the cell heads into a mid-build view. Each iteration first
+// rewinds the index to the rest of the build, untimed, with the entry
+// array at its final capacity: a build pays append's regrowth copies a
+// few dozen times in all, not once per round.
 func BenchmarkSnapshotPublish(b *testing.B) {
 	lv := benchLive(b, 1<<14, 0)
+	s, final, nents := lv.e.s, lv.final, len(lv.ix.cellTris)
+	cut := len(final) - publishNewFinals
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		lv.final = append(make([]int32, 0, len(final)), final[:cut]...)
+		lv.ix = newLocIndex(s.pts, s.n)
+		lv.ix.ents = make([]locEntry, 0, nents)
+		for _, id := range lv.final {
+			lv.ix.add(s.pts, id, s.tris[id].V)
+		}
+		lv.scanned, lv.done = int(final[cut]), false
+		b.StartTimer()
+		lv.collect()
 		lv.publish()
 	}
 }

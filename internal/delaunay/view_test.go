@@ -1,14 +1,17 @@
 package delaunay
 
 // Tests for the serve-while-building layer (view.go): published views
-// against the finished mesh, Locate against brute force, the monotone
-// final-set argument, the linearizable-snapshot stress (every view a
-// concurrent reader observes equals a committed-round prefix of a
-// deterministic reference run), the face-map serving snapshot, and the
-// zero-alloc query pins. The stress tests run under -race in CI.
+// against the finished mesh, Locate against brute force, held views that
+// answer the same after later rounds appended to the index, the
+// compacted index against a full re-bin, the monotone final-set
+// argument, the linearizable-snapshot stress (every view a concurrent
+// reader observes equals a committed-round prefix of a deterministic
+// reference run), the face-map serving snapshot, and the zero-alloc
+// query pins. The stress tests run under -race in CI.
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +35,62 @@ func finalSum(v *MeshView) uint64 {
 		h = (h ^ uint64(uint32(v.FinalID(i)))) * 1099511628211
 	}
 	return h
+}
+
+// locAns is one Locate answer.
+type locAns struct {
+	id int32
+	ok bool
+}
+
+// viewQueries draws m query points over the unit square widened by 10%
+// on every side, so some land outside the input box.
+func viewQueries(seed uint64, m int) []geom.Point {
+	r := rng.New(seed)
+	qs := make([]geom.Point, m)
+	for i := range qs {
+		qs[i] = geom.Point{X: r.Float64()*1.2 - 0.1, Y: r.Float64()*1.2 - 0.1}
+	}
+	return qs
+}
+
+func locateAll(v *MeshView, qs []geom.Point) []locAns {
+	ans := make([]locAns, len(qs))
+	for i, q := range qs {
+		ans[i].id, ans[i].ok = v.Locate(q)
+	}
+	return ans
+}
+
+// checkLocatePrefix holds a view's answers to its own final prefix: a hit
+// names a committed triangle in that prefix which contains the query, and
+// ok agrees with a brute-force scan of the prefix.
+func checkLocatePrefix(t *testing.T, v *MeshView, qs []geom.Point, ans []locAns) {
+	t.Helper()
+	inPrefix := make(map[int32]bool, v.NumFinal())
+	for i := 0; i < v.NumFinal(); i++ {
+		inPrefix[v.FinalID(i)] = true
+	}
+	for i, q := range qs {
+		a := ans[i]
+		if a.ok {
+			if int(a.id) >= v.NumTriangles() || !inPrefix[a.id] {
+				t.Fatalf("round %d: Locate(%v) = %d, outside the view's final prefix", v.Round(), q, a.id)
+			}
+			if !v.triContains(a.id, q) {
+				t.Fatalf("round %d: Locate(%v) returned triangle %d not containing it", v.Round(), q, a.id)
+			}
+		} else if a.id != NoTri {
+			t.Fatalf("round %d: Locate(%v) missed but returned id %d", v.Round(), q, a.id)
+		}
+		brute := false
+		for j := 0; j < v.NumFinal() && !brute; j++ {
+			brute = v.triContains(v.FinalID(j), q)
+		}
+		if a.ok != brute {
+			t.Fatalf("round %d: Locate(%v) = %v, brute force = %v", v.Round(), q, a.ok, brute)
+		}
+	}
 }
 
 // referenceRun drives a Live sequentially and records every committed
@@ -140,31 +199,14 @@ func TestLiveViewsMonotone(t *testing.T) {
 func TestViewLocateBruteForce(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(12), 900))
 	lv := NewLive(pts)
-	r := rng.New(77)
-	check := func(v *MeshView) {
-		t.Helper()
-		for q := 0; q < 300; q++ {
-			p := geom.Point{X: r.Float64()*1.2 - 0.1, Y: r.Float64()*1.2 - 0.1}
-			id, ok := v.Locate(p)
-			if ok && !v.triContains(id, p) {
-				t.Fatalf("round %d: Locate(%v) returned triangle %d not containing it", v.Round(), p, id)
-			}
-			brute := false
-			for i := 0; i < v.NumFinal() && !brute; i++ {
-				brute = v.triContains(v.FinalID(i), p)
-			}
-			if ok != brute {
-				t.Fatalf("round %d: Locate(%v) = %v, brute force = %v", v.Round(), p, ok, brute)
-			}
-		}
-	}
 	for {
 		more, err := lv.Step(nil)
 		if err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 		if v := lv.View(); v.Round()%7 == 0 || !more {
-			check(v)
+			qs := viewQueries(77+uint64(v.Round()), 300)
+			checkLocatePrefix(t, v, qs, locateAll(v, qs))
 		}
 		if !more {
 			break
@@ -180,6 +222,141 @@ func TestViewLocateBruteForce(t *testing.T) {
 	}
 	if v.Contains(geom.Point{X: 1e6, Y: 1e6}) {
 		t.Fatal("point far outside the hull located in a final triangle")
+	}
+}
+
+// TestViewStaleAfterLaterRounds: a view answers the same forever. Every
+// published view of a build is held with its Locate answers on a fixed
+// query set; once the build has finished — its index appended to by every
+// later round and compacted by the last publication — each held view must
+// answer identically, within its own final prefix, and agree with brute
+// force over that prefix.
+func TestViewStaleAfterLaterRounds(t *testing.T) {
+	pts := geom.Dedup(geom.UniformSquare(rng.New(31), 1500))
+	qs := viewQueries(5, 150)
+	lv := NewLive(pts)
+	var views []*MeshView
+	var answers [][]locAns
+	for {
+		v := lv.View()
+		views = append(views, v)
+		answers = append(answers, locateAll(v, qs))
+		if v.Done() {
+			break
+		}
+		if _, err := lv.Step(nil); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+	}
+	if len(views) < 10 {
+		t.Fatalf("only %d views published", len(views))
+	}
+	for i, v := range views {
+		got := locateAll(v, qs)
+		for k := range qs {
+			if got[k] != answers[i][k] {
+				t.Fatalf("round %d: Locate(%v) = %+v after the build finished, %+v when published",
+					v.Round(), qs[k], got[k], answers[i][k])
+			}
+		}
+		checkLocatePrefix(t, v, qs, got)
+	}
+}
+
+// TestViewStaleAfterLaterRoundsConcurrent is the same property under
+// -race: readers re-query views held from earlier rounds while the
+// publisher appends to the index those views share a prefix of.
+func TestViewStaleAfterLaterRoundsConcurrent(t *testing.T) {
+	n := 2000
+	if testing.Short() {
+		n = 800
+	}
+	pts := geom.Dedup(geom.UniformSquare(rng.New(47), n))
+	qs := viewQueries(6, 64)
+	lv := NewLive(pts)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	fail := make(chan string, 1)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			r := rng.New(seed)
+			var views []*MeshView
+			var answers [][]locAns
+			for !stop.Load() {
+				if v := lv.View(); len(views) == 0 || views[len(views)-1] != v {
+					views = append(views, v)
+					answers = append(answers, locateAll(v, qs))
+				}
+				k := r.Intn(len(views))
+				for i, a := range locateAll(views[k], qs) {
+					if a != answers[k][i] {
+						select {
+						case fail <- "a held view changed its answer while the publisher appended":
+						default:
+						}
+						return
+					}
+				}
+			}
+		}(uint64(g)*17 + 3)
+	}
+	for {
+		more, err := lv.Step(nil)
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		if !more {
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+}
+
+// TestCompactMatchesRebin: the completed view's compacted index is the
+// CSR grid a full re-bin of the final set builds — per cell the ids in
+// ascending order, and the same wide list — so the finished view
+// answers exactly as one binned from scratch.
+func TestCompactMatchesRebin(t *testing.T) {
+	pts := geom.Dedup(geom.UniformDisk(rng.New(17), 3000))
+	lv := NewLive(pts)
+	if _, err := lv.Run(nil); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	v := lv.View()
+	cells := make([][]int32, v.side*v.side)
+	var wide []int32
+	for i := 0; i < v.NumFinal(); i++ {
+		id := v.FinalID(i)
+		cx0, cy0, cx1, cy1, isWide := v.span(v.pts, v.Corners(id))
+		if isWide {
+			wide = append(wide, id)
+			continue
+		}
+		for cy := cy0; cy <= cy1; cy++ {
+			for cx := cx0; cx <= cx1; cx++ {
+				cells[cy*v.side+cx] = append(cells[cy*v.side+cx], id)
+			}
+		}
+	}
+	if v.head != nil || len(v.cellStart) != len(cells)+1 {
+		t.Fatalf("completed view not compacted: head %v, %d offsets for %d cells", v.head != nil, len(v.cellStart), len(cells))
+	}
+	for c, want := range cells {
+		got := v.cellTris[v.cellStart[c]:v.cellStart[c+1]]
+		if !slices.Equal(got, want) {
+			t.Fatalf("cell %d lists %v, re-bin %v", c, got, want)
+		}
+	}
+	if !slices.Equal(v.wide, wide) {
+		t.Fatalf("wide list %v, re-bin %v", v.wide, wide)
 	}
 }
 
@@ -329,7 +506,8 @@ func TestLiveAwaitFollowsRounds(t *testing.T) {
 }
 
 // TestLiveEdgeCases: empty and single-point inputs publish immediately
-// final views; canceled Steps keep the last view current.
+// final views; Locate on degenerate domains agrees with brute force;
+// canceled Steps keep the last view current.
 func TestLiveEdgeCases(t *testing.T) {
 	lv := NewLive(nil)
 	v := lv.View()
@@ -346,6 +524,48 @@ func TestLiveEdgeCases(t *testing.T) {
 	}
 	if v := lv.View(); !v.Done() || v.NumFinal() != 3 {
 		t.Fatalf("single-point final view: done=%v final=%d", v.Done(), v.NumFinal())
+	}
+
+	// Degenerate domains: every view of tiny and all-collinear builds
+	// answers as brute force does, on queries near the input and far
+	// outside its box. Collinear input has a zero-height box, so the grid
+	// falls back to a unit cell height.
+	collinear := make([]geom.Point, 40)
+	for i := range collinear {
+		collinear[i] = geom.Point{X: float64((i*17)%40) / 40, Y: 0.25}
+	}
+	qs := viewQueries(12, 60)
+	for _, q := range []geom.Point{{X: 0.5, Y: 0.5}, {X: 0.25, Y: 0.25}, {X: 0.3, Y: 0.7}, {X: 0.7, Y: 0.25}} {
+		qs = append(qs, q)
+	}
+	for _, d := range []float64{-1e6, -50, 50, 1e6} {
+		qs = append(qs, geom.Point{X: d, Y: 0.5}, geom.Point{X: 0.5, Y: d}, geom.Point{X: d, Y: -d})
+	}
+	for name, pts := range map[string][]geom.Point{
+		"n=0":       nil,
+		"n=1":       {{X: 0.5, Y: 0.5}},
+		"n=2":       {{X: 0.3, Y: 0.7}, {X: 0.7, Y: 0.25}},
+		"collinear": collinear,
+	} {
+		lv := NewLive(pts)
+		for {
+			v := lv.View()
+			checkLocatePrefix(t, v, qs, locateAll(v, qs))
+			for i := 0; i < v.NumPoints() && v.Done(); i++ {
+				if !v.Contains(v.Point(int32(i))) {
+					t.Fatalf("%s: input point %d not contained in the completed view", name, i)
+				}
+			}
+			if v.Done() {
+				break
+			}
+			if _, err := lv.Step(nil); err != nil {
+				t.Fatalf("%s: Step: %v", name, err)
+			}
+		}
+		if err := CheckConsistency(lv.Finish()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 
 	// Cancellation: an already-canceled token fails the Step, and the
