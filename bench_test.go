@@ -453,14 +453,31 @@ func BenchmarkAblationGrain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPredicates compares the float fast path against the
-// exact fallback rate on benign vs adversarial (near-cocircular) inputs.
+// BenchmarkAblationPredicates prices InCircle on three kinds of input and
+// reports the share of calls that get past the stage-A float filter:
+// benign random points (almost none), points within 1e-12 of the unit
+// circle (past stage A, decided by the expansion stages on inexact
+// differences), and the recover workload's lattice, whose rectangles are
+// exactly cocircular with dyadic coordinates (every call past stage A,
+// decided exactly by stage B). Every arm runs allocation-free.
 func BenchmarkAblationPredicates(b *testing.B) {
 	r := rng.New(11)
 	benign := geom.UniformSquare(r, 4096)
 	adversarial := geom.OnCircle(r, 4096, 1e-12)
+	// Corners (i, j), (i+w, j), (i+w, j+h), (i, j+h) of lattice
+	// rectangles, counterclockwise. GridJitter lays the lattice out
+	// column by column, side points per column.
+	const side = 64
+	grid := geom.GridJitter(r, side*side, 0)
+	lattice := make([]geom.Point, 0, 4096)
+	for len(lattice) < 4096 {
+		i, j := r.Intn(side-3), r.Intn(side-3)
+		w, h := 1+r.Intn(3), 1+r.Intn(3)
+		lattice = append(lattice, grid[i*side+j], grid[(i+w)*side+j], grid[(i+w)*side+j+h], grid[i*side+j+h])
+	}
 	run := func(b *testing.B, pts []geom.Point) {
 		var st geom.PredicateStats
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j+3 < len(pts); j += 4 {
@@ -473,6 +490,7 @@ func BenchmarkAblationPredicates(b *testing.B) {
 	}
 	b.Run("benign", func(b *testing.B) { run(b, benign) })
 	b.Run("cocircular", func(b *testing.B) { run(b, adversarial) })
+	b.Run("lattice", func(b *testing.B) { run(b, lattice) })
 }
 
 // BenchmarkAblationSCCCombine quantifies the price of the eager round

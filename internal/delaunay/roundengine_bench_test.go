@@ -239,3 +239,20 @@ func BenchmarkDelaunayPar(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDelaunayParLattice is BenchmarkDelaunayPar on the exactly
+// cocircular lattice of perfbench recover (shuffled GridJitter(·, 0)),
+// where about 3% of InCircle calls get past the float filter and the
+// exact stages decide them; its time against BenchmarkDelaunayPar's is
+// the price of exactness on degenerate input.
+func BenchmarkDelaunayParLattice(b *testing.B) {
+	for _, n := range []int{1 << 12} {
+		pts := shuffledLattice(uint64(n), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ParTriangulate(pts)
+			}
+		})
+	}
+}

@@ -275,9 +275,9 @@ func (lv *Live) buildView() *MeshView {
 }
 
 // triContains reports whether q lies in triangle id (boundary inclusive;
-// corners are CCW by construction). Exact: the float fast path decides
-// almost every query with no allocation, the big-rational fallback
-// decides degeneracies.
+// corners are CCW by construction). Exact and allocation-free: the float
+// filter decides almost every query, geom's expansion stages decide
+// degeneracies.
 //
 //ridt:noalloc
 func (v *MeshView) triContains(id int32, q geom.Point) bool {

@@ -6,10 +6,9 @@ import (
 	"repro/internal/rng"
 )
 
-// TestExactFallbackRates pins the two-stage predicate design: benign random
-// inputs must almost never leave the float fast path, while exactly
-// cocircular inputs must always reach the exact path (and get the right
-// answer there).
+// TestExactFallbackRates pins the stage-A filter: benign random inputs
+// must almost never get past it, while exactly cocircular inputs must
+// always reach the exact stages (and get the right answer there).
 func TestExactFallbackRates(t *testing.T) {
 	r := rng.New(1)
 	var st PredicateStats

@@ -3,11 +3,36 @@
 // smallest-enclosing-disk algorithms.
 //
 // The two predicates the paper's algorithms rely on — Orient2D (line-side
-// test) and InCircle (encroachment test, Algorithm 4's InCircle) — are
-// evaluated with a float64 fast path guarded by a forward error bound; when
-// the bound cannot certify the sign, the determinant is recomputed exactly
-// with math/big rational arithmetic. This two-stage scheme gives exact
-// results at floating-point speed on non-degenerate inputs.
+// test) and InCircle (encroachment test, Algorithm 4's InCircle) — return
+// exact signs through the adaptive stages of Shewchuk's "Adaptive
+// Precision Floating-Point Arithmetic and Fast Robust Geometric
+// Predicates" (1997):
+//
+//   - Stage A is a float64 evaluation with a forward error bound; it
+//     decides almost every call on non-degenerate input.
+//   - Stage B evaluates the determinant of the rounded coordinate
+//     differences exactly, as an expansion (a sum of nonoverlapping
+//     float64 components) built with error-free transforms: Two-Sum,
+//     Two-Product through math.FMA, and Shewchuk's zero-eliminating
+//     expansion sum and scale. When the differences are exact (their
+//     tails are zero), as on dyadic input such as an exact lattice and
+//     its bounding corners, this is the determinant itself.
+//   - Stage C adds the first-order tail terms in floating point under a
+//     second error bound.
+//   - Stage D adds every tail term exactly, which gives the exact sign.
+//
+// The expansions live in fixed-size stack arrays, so no stage allocates.
+// They are exact only while no product underflows or overflows, so each
+// stage runs only when every coordinate difference and tail is zero or has
+// its binary exponent within ±200 (the exponent window; see inWindow).
+// Finite input beyond the window, which stage A's bound does not cover
+// either, goes to math/big rational arithmetic: the one cold path left,
+// kept for inputs such as subnormal or near-MaxFloat64 coordinates.
+//
+// Every product an error-free transform consumes is written float64(a*b).
+// The Go spec allows a compiler to fuse x*y + z into one fused
+// multiply-add, which Go 1.24 does on arm64 (not on amd64); the explicit
+// conversion forces the rounding the transforms rely on.
 package geom
 
 import (
@@ -47,10 +72,12 @@ const (
 	inCircleBoundA = (10 + 96*epsilon) * epsilon
 )
 
-// PredicateStats counts predicate evaluations; the exact-fallback rate is a
-// design ablation in DESIGN.md. Counters are not atomic: use one instance
-// per goroutine or accept approximate totals. A nil *PredicateStats is
-// valid and records nothing.
+// PredicateStats counts predicate evaluations. The Exact counters count
+// the calls that got past stage A, the float filter, whichever later stage
+// decided them; the checkpoint header persists all four fields, and
+// BenchmarkAblationPredicates reports the InCircle share. Counters are not
+// atomic: use one instance per goroutine or accept approximate totals. A
+// nil *PredicateStats is valid and records nothing.
 type PredicateStats struct {
 	Orient2DCalls int64
 	Orient2DExact int64
@@ -93,34 +120,31 @@ func Orient2D(a, b, c Point) int {
 }
 
 // Orient2DStats is Orient2D with optional instrumentation.
+//
+//ridt:noalloc
 func Orient2DStats(a, b, c Point, st *PredicateStats) int {
-	detL := (a.X - c.X) * (b.Y - c.Y)
-	detR := (a.Y - c.Y) * (b.X - c.X)
+	acx, bcx := a.X-c.X, b.X-c.X
+	acy, bcy := a.Y-c.Y, b.Y-c.Y
+	detL := acx * bcy
+	detR := acy * bcx
 	det := detL - detR
+	// Stage A: products of opposite signs, or a zero product, fix the
+	// sign outright; products of one sign need the error bound.
 	var detSum float64
-	switch {
-	case detL > 0:
-		if detR <= 0 {
-			st.addOrient(false)
-			return sign(det)
-		}
-		detSum = detL + detR
-	case detL < 0:
-		if detR >= 0 {
-			st.addOrient(false)
-			return sign(det)
-		}
-		detSum = -detL - detR
-	default:
-		st.addOrient(false)
-		return sign(det)
+	certain := true
+	if detL > 0 && detR > 0 || detL < 0 && detR < 0 {
+		detSum = math.Abs(detL) + math.Abs(detR)
+		errBound := ccwErrBoundA * detSum
+		certain = det >= errBound || -det >= errBound
 	}
-	errBound := ccwErrBoundA * detSum
-	if det >= errBound || -det >= errBound {
+	if certain && filterable(acx) && filterable(bcx) && filterable(acy) && filterable(bcy) {
 		st.addOrient(false)
 		return sign(det)
 	}
 	st.addOrient(true)
+	if s, ok := orient2DAdapt(a, b, c, detSum); ok {
+		return s
+	}
 	return orient2DExact(a, b, c)
 }
 
@@ -156,6 +180,8 @@ func InCircle(a, b, c, d Point) int {
 }
 
 // InCircleStats is InCircle with optional instrumentation.
+//
+//ridt:noalloc
 func InCircleStats(a, b, c, d Point, st *PredicateStats) int {
 	adx, ady := a.X-d.X, a.Y-d.Y
 	bdx, bdy := b.X-d.X, b.Y-d.Y
@@ -175,23 +201,21 @@ func InCircleStats(a, b, c, d Point, st *PredicateStats) int {
 
 	det := alift*(bdxcdy-cdxbdy) + blift*(cdxady-adxcdy) + clift*(adxbdy-bdxady)
 
-	permanent := (abs(bdxcdy)+abs(cdxbdy))*alift +
-		(abs(cdxady)+abs(adxcdy))*blift +
-		(abs(adxbdy)+abs(bdxady))*clift
+	permanent := (math.Abs(bdxcdy)+math.Abs(cdxbdy))*alift +
+		(math.Abs(cdxady)+math.Abs(adxcdy))*blift +
+		(math.Abs(adxbdy)+math.Abs(bdxady))*clift
 	errBound := inCircleBoundA * permanent
-	if det > errBound || -det > errBound {
+	if (det > errBound || -det > errBound) &&
+		filterable(adx) && filterable(ady) && filterable(bdx) &&
+		filterable(bdy) && filterable(cdx) && filterable(cdy) {
 		st.addInCircle(false)
 		return sign(det)
 	}
 	st.addInCircle(true)
-	return inCircleExact(a, b, c, d)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+	if s, ok := inCircleAdapt(a, b, c, d, permanent); ok {
+		return s
 	}
-	return x
+	return inCircleExact(a, b, c, d)
 }
 
 func inCircleExact(a, b, c, d Point) int {

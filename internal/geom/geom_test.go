@@ -94,6 +94,33 @@ func orientBig(a, b, c Point) int {
 	return l.Cmp(r)
 }
 
+// inCircleBig is the test oracle for InCircle: the 4×4 lifted determinant
+// expanded along its last column (the query point's row subtracted), in
+// big.Rat straight from the coordinates. It shares no code with the
+// package's own big.Rat path, which works on coordinate differences.
+func inCircleBig(a, b, c, d Point) int {
+	p := [4]Point{a, b, c, d}
+	var x, y, l [4]*big.Rat
+	for i, q := range p {
+		x[i], y[i] = new(big.Rat).SetFloat64(q.X), new(big.Rat).SetFloat64(q.Y)
+		l[i] = new(big.Rat).Add(new(big.Rat).Mul(x[i], x[i]), new(big.Rat).Mul(y[i], y[i]))
+	}
+	// det3 returns the 3×3 determinant of rows (x, y, 1) over the given
+	// three indices.
+	det3 := func(i, j, k int) *big.Rat {
+		t := new(big.Rat).Mul(x[i], new(big.Rat).Sub(y[j], y[k]))
+		t.Add(t, new(big.Rat).Mul(x[j], new(big.Rat).Sub(y[k], y[i])))
+		return t.Add(t, new(big.Rat).Mul(x[k], new(big.Rat).Sub(y[i], y[j])))
+	}
+	// det |x y l 1| = -l0·D(1,2,3) + l1·D(0,2,3) - l2·D(0,1,3) + l3·D(0,1,2),
+	// and InCircle is its negation for counterclockwise (a, b, c).
+	det := new(big.Rat).Mul(l[0], det3(1, 2, 3))
+	det.Sub(det, new(big.Rat).Mul(l[1], det3(0, 2, 3)))
+	det.Add(det, new(big.Rat).Mul(l[2], det3(0, 1, 3)))
+	det.Sub(det, new(big.Rat).Mul(l[3], det3(0, 1, 2)))
+	return det.Sign()
+}
+
 func TestInCircleBasics(t *testing.T) {
 	// Unit circle through (1,0), (0,1), (-1,0); CCW order.
 	a, b, c := Point{1, 0}, Point{0, 1}, Point{-1, 0}
