@@ -509,31 +509,6 @@ func BenchmarkAblationSCCCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSemisort compares the sharded semisort against a
-// comparison sort for the group-by step of the Type 3 combines.
-func BenchmarkAblationSemisort(b *testing.B) {
-	n := 1 << 18
-	r := rng.New(13)
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(r.Intn(n / 8))
-	}
-	b.Run("semisort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sortutil.Semisort(n, func(j int) uint64 { return keys[j] })
-		}
-	})
-	b.Run("comparison-sort", func(b *testing.B) {
-		idx := make([]int, n)
-		for i := 0; i < b.N; i++ {
-			for j := range idx {
-				idx[j] = j
-			}
-			sortutil.Sort(idx, func(a, c int) bool { return keys[a] < keys[c] })
-		}
-	})
-}
-
 // BenchmarkHighDim exercises the d-dimensional extensions (Section 5's
 // closing remarks): LP, closest pair, and smallest enclosing ball in R^3.
 func BenchmarkHighDim(b *testing.B) {

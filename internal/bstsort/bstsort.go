@@ -219,41 +219,44 @@ func ParInsertPrefix(keys []float64) (*Tree, Stats) {
 			cmpCount[k] = c
 		})
 		comparisons += parallel.Sum(cmpCount)
-		// Phase 2: group by slot; per slot, insert in iteration order.
-		groups := sortutil.Semisort(hi-lo, func(k int) uint64 { return uint64(slot[k]) })
-		extra := make([]int64, len(groups))
-		// Grain 1: group sizes are power-law skewed; one group per claim.
-		parallel.ForGrain(0, len(groups), 1, func(gi int) {
-			g := groups[gi]
-			node := int32(g.Key / 2)
-			side0 := g.Key % 2
+		// Phase 2: group by slot (the tree's lo nodes own slots below
+		// 2·lo); per slot, insert in iteration order.
+		nslots := 2 * lo
+		off, idx := sortutil.GroupDense(hi-lo, nslots, func(k int) int { return int(slot[k]) })
+		nb := parallel.NumBlocks(nslots, 0)
+		extra := make([]int64, nb)
+		parallel.BlocksN(0, nslots, nb, func(b, slo, shi int) {
 			var c int64
-			for _, k := range g.Indices { // increasing iteration order
-				i := int32(lo + k)
-				cur, side := node, side0
-				// Descend within the subtree grown at the group's slot
-				// (empty for the first key) until an empty child is found.
-				for {
-					var childp *int32
-					if side == 0 {
-						childp = &t.Left[cur]
-					} else {
-						childp = &t.Right[cur]
-					}
-					if *childp < 0 {
-						*childp = i
-						break
-					}
-					cur = *childp
-					c++
-					if keys[i] < t.Keys[cur] {
-						side = 0
-					} else {
-						side = 1
+			for s := slo; s < shi; s++ {
+				node, side0 := int32(s/2), s%2
+				for _, k := range idx[off[s]:off[s+1]] { // increasing iteration order
+					i := int32(lo) + k
+					cur, side := node, side0
+					// Descend within the subtree grown at the group's slot
+					// (empty for the first key) until an empty child is
+					// found.
+					for {
+						var childp *int32
+						if side == 0 {
+							childp = &t.Left[cur]
+						} else {
+							childp = &t.Right[cur]
+						}
+						if *childp < 0 {
+							*childp = i
+							break
+						}
+						cur = *childp
+						c++
+						if keys[i] < t.Keys[cur] {
+							side = 0
+						} else {
+							side = 1
+						}
 					}
 				}
 			}
-			extra[gi] = c
+			extra[b] = c
 		})
 		comparisons += parallel.Sum(extra)
 	}

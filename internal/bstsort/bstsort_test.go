@@ -87,14 +87,16 @@ func TestDepthLogarithmic(t *testing.T) {
 }
 
 func TestComparisonsMatchSequential(t *testing.T) {
-	// The parallel lockstep descent performs exactly the sequential
-	// comparison count (each key walks its final search path once).
-	for _, n := range []int{10, 500, 4000} {
+	// The parallel lockstep descent and the prefix-doubling rounds perform
+	// exactly the sequential comparison count (each key walks its final
+	// search path once).
+	for _, n := range []int{10, 500, 4000, 16384} {
 		keys := randKeys(uint64(n)*11+3, n)
 		_, seqSt := SeqInsert(keys)
 		_, parSt := ParInsert(keys)
-		if seqSt.Comparisons != parSt.Comparisons {
-			t.Fatalf("n=%d: comparisons seq=%d par=%d", n, seqSt.Comparisons, parSt.Comparisons)
+		_, preSt := ParInsertPrefix(keys)
+		if seqSt.Comparisons != parSt.Comparisons || seqSt.Comparisons != preSt.Comparisons {
+			t.Fatalf("n=%d: comparisons seq=%d par=%d prefix=%d", n, seqSt.Comparisons, parSt.Comparisons, preSt.Comparisons)
 		}
 	}
 }

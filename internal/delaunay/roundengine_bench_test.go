@@ -2,7 +2,7 @@ package delaunay
 
 // A-B ablations for the round engine's three changes (ISSUE 5): the
 // parallel activation filter vs the serial scan, the round-stamp dedup vs
-// the sorted merge and the semisort, and the arena-carved round scratch
+// the sorted merge, and the arena-carved round scratch
 // vs per-triangle makes. Results are recorded in BENCH_delaunay.json and
 // the delaunay families are gated by cmd/benchgate in CI.
 //
@@ -18,7 +18,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/parallel"
 	"repro/internal/rng"
-	"repro/internal/sortutil"
 )
 
 // benchEngine builds a finished triangulation's engine: the face map holds
@@ -129,9 +128,9 @@ func benchDense(m int, dup float64) []uint64 {
 // BenchmarkDelaunayRoundDedup compares the candidate dedup schemes over
 // the same touched-face stream: the shipped round-stamp flag pass + pack
 // (the stamp writes themselves ride the face-attachment updates the round
-// performs anyway, so they are prepaid here), the sorted merge the engine
-// used before, and a semisort group-by (sortutil.Semisort, keeping one
-// key per group) as the middle ground. This is the ablation that decided what ships — see DESIGN.md.
+// performs anyway, so they are prepaid here) and the sorted merge the
+// engine used before. This is the ablation that decided what ships — see
+// DESIGN.md.
 func BenchmarkDelaunayRoundDedup(b *testing.B) {
 	const m = 1 << 13
 	dense := benchDense(m, 0.5)
@@ -145,15 +144,6 @@ func BenchmarkDelaunayRoundDedup(b *testing.B) {
 				if i == 0 || fk != merged[i-1] {
 					out = append(out, fk)
 				}
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("scheme=semisort/m=%d", m), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gs := sortutil.Semisort(len(dense), func(i int) uint64 { return dense[i] })
-			out := make([]uint64, len(gs))
-			for i, g := range gs {
-				out[i] = g.Key
 			}
 		}
 	})

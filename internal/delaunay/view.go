@@ -291,12 +291,15 @@ func (v *MeshView) triContains(id int32, q geom.Point) bool {
 // Locate returns a final triangle containing q, or (NoTri, false) when q
 // lies in a region that is still under construction at this view (or on
 // no triangle at all). For q on a shared edge or corner, any one of the
-// incident final triangles may be returned. Safe for unbounded
-// concurrent readers; allocation-free on the float fast path.
+// incident final triangles may be returned. A q with a NaN or infinite
+// coordinate lies in no triangle: it misses before any predicate runs,
+// since Orient2D answers 0 (on the edge) for NaN and its exact stages
+// cannot represent an infinity. Safe for unbounded concurrent readers;
+// allocation-free on the float fast path.
 //
 //ridt:noalloc
 func (v *MeshView) Locate(q geom.Point) (int32, bool) {
-	if len(v.final) == 0 {
+	if len(v.final) == 0 || math.IsNaN(q.X) || math.IsNaN(q.Y) || math.IsInf(q.X, 0) || math.IsInf(q.Y, 0) {
 		return NoTri, false
 	}
 	cx, cy := v.cellXY(q.X, q.Y)

@@ -10,6 +10,7 @@ package delaunay
 // query pins. The stress tests run under -race in CI.
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -223,6 +224,49 @@ func TestViewLocateBruteForce(t *testing.T) {
 	if v.Contains(geom.Point{X: 1e6, Y: 1e6}) {
 		t.Fatal("point far outside the hull located in a final triangle")
 	}
+}
+
+// TestViewLocateNonFinite: a query with a NaN or infinite coordinate
+// lies in no triangle, on a mid-build view and on the finished one.
+// Orient2D answers 0 (on the edge) for NaN, and the exact stages cannot
+// hold an infinity, so Locate must turn these away before any predicate.
+func TestViewLocateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	qs := []geom.Point{
+		{X: nan, Y: 0.5}, {X: 0.5, Y: nan},
+		{X: inf, Y: 0.5}, {X: -inf, Y: 0.5}, {X: 0.5, Y: inf}, {X: 0.5, Y: -inf},
+		{X: nan, Y: nan}, {X: inf, Y: -inf}, {X: nan, Y: inf},
+	}
+	check := func(v *MeshView) {
+		t.Helper()
+		for _, q := range qs {
+			if id, ok := v.Locate(q); ok || id != NoTri {
+				t.Fatalf("round %d (done %v): Locate(%v) = (%d, %v), want a miss", v.Round(), v.Done(), q, id, ok)
+			}
+			if v.Contains(q) {
+				t.Fatalf("round %d: Contains(%v) = true", v.Round(), q)
+			}
+		}
+	}
+	lv := NewLive(geom.Dedup(geom.UniformSquare(rng.New(5), 200)))
+	midChecked := false
+	for {
+		more, err := lv.Step(nil)
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		if v := lv.View(); more && !midChecked && v.NumFinal() > 0 {
+			check(v)
+			midChecked = true
+		}
+		if !more {
+			break
+		}
+	}
+	if !midChecked {
+		t.Fatal("no mid-build view with final triangles")
+	}
+	check(lv.View())
 }
 
 // TestViewStaleAfterLaterRounds: a view answers the same forever. Every

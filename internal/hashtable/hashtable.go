@@ -1,5 +1,5 @@
 // Package hashtable provides the concurrent hash table behind the Delaunay
-// face map, the closest-pair grids, and the SCC combine.
+// face map and the closest-pair grids.
 //
 // The paper's parallel algorithms assume a work-efficient parallel hash
 // table (Gil, Matias & Vishkin). LockFreeInline is that table: a growable

@@ -163,8 +163,8 @@ func newInTable[K comparable](capacity int) *inTable[K] {
 
 // LockFreeInline is a lock-free, growable, phase-concurrent hash table for
 // values that encode into two 64-bit words (small PODs). Any mix of
-// Load/Store/Delete/Update/UpdateIf/UpdateAndGet/LoadOrStore may run from
-// any number of goroutines, including across a growth; the bulk operations
+// Load/Store/Delete/Update/UpdateAndGet/LoadOrStore may run from any number
+// of goroutines, including across a growth; the bulk operations
 // (Len, Range, Clear, Reserve, Flatten, AdvanceEpoch) are phase operations
 // that must not run concurrently with mutators.
 //
@@ -173,9 +173,7 @@ func newInTable[K comparable](capacity int) *inTable[K] {
 // its result (LoadOrStore has the same once-only decision). The callback
 // may therefore have side effects — the closest-pair grids link a point
 // into its cell's list from inside Update — but it must be short and must
-// not call back into the table. UpdateIf calls f up to twice: once in its
-// read-only pre-check and, if that asks for a write, once more under the
-// lock, where only the second call's answer counts.
+// not call back into the table.
 //
 // The zero value is not usable; construct with NewLockFreeInline.
 type LockFreeInline[K comparable, V any] struct {
@@ -515,12 +513,12 @@ func (h *LockFreeInline[K, V]) loadAfterFreeze(t *inTable[K], k K, hv uint64) (V
 	return zero, loadMiss
 }
 
-// apply is the shared write path behind Store/Update/UpdateIf/
-// UpdateAndGet/LoadOrStore. f maps the current state to (new value,
-// write?); returning write=false leaves the slot as is. f runs exactly
-// once per call, under the slot's write lock, after the migration check:
-// a frozen slot restarts the probe in the next table before f is called,
-// and once f has run its answer is published and apply returns.
+// apply is the shared write path behind Store/Update/UpdateAndGet/
+// LoadOrStore. f maps the current state to (new value, write?); returning
+// write=false leaves the slot as is. f runs exactly once per call, under
+// the slot's write lock, after the migration check: a frozen slot restarts
+// the probe in the next table before f is called, and once f has run its
+// answer is published and apply returns.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) apply(k K, f func(old V, present bool) (V, bool)) {
@@ -625,25 +623,6 @@ func (h *LockFreeInline[K, V]) Update(k K, f func(old V, ok bool) V) {
 	h.apply(k, func(old V, present bool) (V, bool) {
 		return f(old, present), true
 	})
-}
-
-// UpdateIf is Update with a leave-as-is escape hatch: f returns the value
-// to store and whether to store it. When f reports false the table is left
-// untouched, and the no-op path is a plain read — no slot claim for absent
-// keys, no lock, no allocation. A declined op linearizes at that read. When
-// the pre-check asks for a write, f runs a second time under the slot
-// lock against the current value and may still decline there (a racing
-// writer got ahead); declining on a slot just claimed for an absent key
-// publishes a tombstone, which migration drops. f runs up to twice, so it
-// must be pure. Both paths are allocation-free.
-//
-//ridt:noalloc
-func (h *LockFreeInline[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
-	old, ok := h.Load(k)
-	if _, write := f(old, ok); !write {
-		return
-	}
-	h.apply(k, f)
 }
 
 // UpdateAndGet is Update returning the stored value; f runs exactly once.
@@ -890,7 +869,7 @@ func (s *inSnap[K, V]) Range(f func(k K, v V) bool) {
 	s.visit(f)
 }
 
-// EncInt32/DecInt32 are the codec for int32 values (the SCC canonicalize
-// minima, the closest-pair cell heads).
+// EncInt32/DecInt32 are the codec for int32 values (the closest-pair cell
+// heads).
 func EncInt32(v int32) (uint64, uint64) { return uint64(uint32(v)), 0 }
 func DecInt32(a, _ uint64) int32        { return int32(uint32(a)) }

@@ -122,8 +122,8 @@ func TestInlineTornReadStress(t *testing.T) {
 }
 
 // TestInlineWriteNoAlloc pins the point of the inline table: Store,
-// winning Update, UpdateIf (both paths), Delete and Load allocate nothing
-// once the table is at capacity.
+// winning Update, Delete and Load allocate nothing once the table is at
+// capacity.
 func TestInlineWriteNoAlloc(t *testing.T) {
 	m := newInlinePair(1024)
 	for i := 0; i < 256; i++ {
@@ -142,17 +142,6 @@ func TestInlineWriteNoAlloc(t *testing.T) {
 			m.Update(9, func(old pairVal, ok bool) pairVal {
 				na := old.a + 1
 				return pairVal{na, na * pairMagic}
-			})
-		}},
-		{"updateif-write", func() {
-			m.UpdateIf(11, func(old pairVal, ok bool) (pairVal, bool) {
-				na := old.a + 1
-				return pairVal{na, na * pairMagic}, true
-			})
-		}},
-		{"updateif-noop", func() {
-			m.UpdateIf(13, func(old pairVal, ok bool) (pairVal, bool) {
-				return old, false
 			})
 		}},
 		{"load", func() { m.Load(15) }},

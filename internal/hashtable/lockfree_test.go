@@ -90,49 +90,6 @@ func TestTableSuite(t *testing.T) {
 				}
 			})
 
-			t.Run("updateif", func(t *testing.T) {
-				m := mk()
-				// Absent + decline: no insert.
-				m.UpdateIf(9, func(old int, ok bool) (int, bool) {
-					if ok {
-						t.Fatal("should be absent")
-					}
-					return 0, false
-				})
-				if _, ok := m.Load(9); ok || m.Len() != 0 {
-					t.Fatal("declined UpdateIf on absent key must not insert")
-				}
-				// Absent + write inserts.
-				minWrite := func(v int) func(int, bool) (int, bool) {
-					return func(old int, ok bool) (int, bool) {
-						if ok && old <= v {
-							return old, false
-						}
-						return v, true
-					}
-				}
-				m.UpdateIf(9, minWrite(40))
-				if v, ok := m.Load(9); !ok || v != 40 {
-					t.Fatalf("after insert: (%d,%v)", v, ok)
-				}
-				// Present + decline leaves the value.
-				m.UpdateIf(9, minWrite(50))
-				if v, _ := m.Load(9); v != 40 {
-					t.Fatalf("declined overwrite changed value to %d", v)
-				}
-				// Present + write overwrites.
-				m.UpdateIf(9, minWrite(12))
-				if v, _ := m.Load(9); v != 12 {
-					t.Fatalf("min-write kept %d, want 12", v)
-				}
-				// Deleted key is absent again.
-				m.Delete(9)
-				m.UpdateIf(9, minWrite(99))
-				if v, _ := m.Load(9); v != 99 {
-					t.Fatalf("after delete+insert: %d", v)
-				}
-			})
-
 			t.Run("loadorstore", func(t *testing.T) {
 				m := mk()
 				if v, loaded := m.LoadOrStore(1, 100); loaded || v != 100 {

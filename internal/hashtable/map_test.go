@@ -16,7 +16,6 @@ type Table[K comparable, V any] interface {
 	Store(k K, v V)
 	Delete(k K)
 	Update(k K, f func(old V, ok bool) V)
-	UpdateIf(k K, f func(old V, ok bool) (V, bool))
 	UpdateAndGet(k K, f func(old V, ok bool) V) V
 	LoadOrStore(k K, v V) (actual V, loaded bool)
 	Len() int
@@ -121,21 +120,6 @@ func (m *Map[K, V]) Update(k K, f func(old V, ok bool) V) {
 	s.mu.Lock()
 	old, ok := s.m[k]
 	s.m[k] = f(old, ok)
-	s.mu.Unlock()
-}
-
-// UpdateIf is Update with a leave-as-is escape hatch: f returns the value
-// to store and whether to store it. When f reports false the table is left
-// untouched — no write, and no insert for an absent key. It is the op to
-// use for pruned min/max-writes and other read-mostly read-modify-writes:
-// on the no-op path LockFreeInline stays read-only.
-func (m *Map[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
-	s := m.shardFor(k)
-	s.mu.Lock()
-	old, ok := s.m[k]
-	if v, write := f(old, ok); write {
-		s.m[k] = v
-	}
 	s.mu.Unlock()
 }
 

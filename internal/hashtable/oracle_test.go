@@ -21,7 +21,6 @@ const (
 	opDelete
 	opUpdate
 	opLoadOrStore
-	opUpdateIf  // conditional write: min-write discipline with no-op path
 	opGrowBurst // bulk insert to force a resize mid-stream
 	numOps
 )
@@ -69,19 +68,6 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 			if got != val {
 				t.Fatalf("%s step %d: LoadOrStore(%d) stored %d, want %d", impl, step, key, got, val)
 			}
-			oracle[key] = val
-		}
-	case opUpdateIf:
-		// Min-write discipline: write val only if the key is absent or val
-		// is strictly smaller — the canonicalizePar idiom, whose no-op path
-		// must leave the table untouched.
-		tab.UpdateIf(key, func(old int, ok bool) (int, bool) {
-			if ok && old <= val {
-				return old, false
-			}
-			return val, true
-		})
-		if old, ok := oracle[key]; !ok || val < old {
 			oracle[key] = val
 		}
 	case opGrowBurst:

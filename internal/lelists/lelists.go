@@ -8,10 +8,10 @@
 // order; the parallel version (Algorithm 2 applied with the separating
 // dependences of Lemma 6.1) runs the searches of each doubling round
 // concurrently against the distance bounds frozen at the end of the
-// previous round, then combines with a semisort per target, keeping for
-// each target the entries whose distances strictly decrease in source
-// order. The combined state after each round is exactly the sequential
-// state, so the resulting lists are identical.
+// previous round, then groups the round's visits by target with a stable
+// dense counting sort, keeping for each target the entries whose distances
+// strictly decrease in source order. The combined state after each round
+// is exactly the sequential state, so the resulting lists are identical.
 package lelists
 
 import (
@@ -82,7 +82,6 @@ func Parallel(g *graph.Graph) (Lists, Stats) {
 		delta[i] = math.Inf(1)
 	}
 	lists := make(Lists, n)
-	perVert := make([]int32, n)
 
 	// Per-round buffers.
 	type srcVisits struct {
@@ -123,31 +122,24 @@ func Parallel(g *graph.Graph) (Lists, Stats) {
 			}
 		}
 		st.CombineWork += int64(len(triples))
-		groups := sortutil.Semisort(len(triples), func(i int) uint64 {
-			return uint64(triples[i].target)
+		// The triples are in source order and the group-by is stable, so
+		// each target's entries come out in source priority order.
+		off, idx := sortutil.GroupDense(len(triples), n, func(i int) int {
+			return int(triples[i].target)
 		})
-		kept := make([]int64, len(groups))
 		// Grain 1: group sizes are skewed (hub targets collect many
-		// triples); one group per claim.
-		parallel.ForGrain(0, len(groups), 1, func(gi int) {
-			grp := groups[gi]
-			target := triples[grp.Indices[0]].target
-			// Order this target's entries by source priority.
-			idxs := grp.Indices
-			sortutil.Sort(idxs, func(a, b int) bool { return triples[a].src < triples[b].src })
+		// triples).
+		parallel.ForGrain(0, n, 1, func(target int) {
 			m := delta[target]
-			for _, ti := range idxs {
+			for _, ti := range idx[off[target]:off[target+1]] {
 				tr := triples[ti]
 				if tr.dist < m {
 					m = tr.dist
 					lists[target] = append(lists[target], Entry{V: tr.src, Dist: tr.dist})
-					perVert[target]++
-					kept[gi]++
 				}
 			}
 			delta[target] = m
 		})
-		st.Visits += parallel.Sum(kept) // kept dependences
 		roundResults = nil
 	}
 
@@ -161,10 +153,10 @@ func Parallel(g *graph.Graph) (Lists, Stats) {
 	}
 	t3 := core.RunType3(n, hooks)
 	st.Rounds = t3.Rounds
-	for _, c := range perVert {
-		if int(c) > st.MaxPerVert {
-			st.MaxPerVert = int(c)
-		}
+	// Each kept dependence is one list entry.
+	for _, l := range lists {
+		st.Visits += int64(len(l))
+		st.MaxPerVert = max(st.MaxPerVert, len(l))
 	}
 	return lists, st
 }

@@ -49,7 +49,7 @@ func TestChunkCounts(t *testing.T) {
 	for _, c := range []struct{ n, grain int }{{1025, 0}, {100000, 16}, {7, 2}} {
 		var calls atomic.Int64
 		minSz, maxSz := 1<<62, 0
-		var mu chSpinLike
+		var mu spinLock
 		Blocks(0, c.n, c.grain, func(lo, hi int) {
 			calls.Add(1)
 			mu.lock()
@@ -70,16 +70,16 @@ func TestChunkCounts(t *testing.T) {
 	}
 }
 
-// chSpinLike is a tiny test-local mutex so the block-size bookkeeping above
+// spinLock is a tiny test-local mutex so the block-size bookkeeping above
 // does not need sync imported just for one lock.
-type chSpinLike struct{ v atomic.Bool }
+type spinLock struct{ v atomic.Bool }
 
-func (m *chSpinLike) lock() {
+func (m *spinLock) lock() {
 	for !m.v.CompareAndSwap(false, true) {
 		runtime.Gosched()
 	}
 }
-func (m *chSpinLike) unlock() { m.v.Store(false) }
+func (m *spinLock) unlock() { m.v.Store(false) }
 
 func TestBlocksIndexed(t *testing.T) {
 	withProcs(t, 4)

@@ -25,8 +25,10 @@ import (
 //     more aggressive than the sequential splits, which the paper notes
 //     only helps; reachability-based cuts never split an SCC.
 //
-// The combine is a semisort over this round's visit triples, exactly like
-// the LE-list combine, and is deterministic.
+// The combine groups this round's visits by target with the stable dense
+// counting sort the LE-list combine uses, and is deterministic. The pivot
+// that carves a component is its smallest vertex, so the labels come out
+// canonical.
 func Parallel(g *graph.Graph) (Labels, Stats) {
 	n := g.N
 	var st Stats
@@ -119,55 +121,44 @@ func Parallel(g *graph.Graph) (Labels, Stats) {
 		for _, vs := range roundVisits {
 			flat = append(flat, vs...)
 		}
-		groups := sortutil.Semisort(len(flat), func(i int) uint64 {
-			return uint64(flat[i].target)
+		off, idx := sortutil.GroupDense(len(flat), n, func(i int) int {
+			return int(flat[i].target)
 		})
 		// Group sizes are skewed; claims are lane-local on the stealing
 		// pool, so grain 2 buys balance on the big groups for almost no
 		// claim traffic.
-		parallel.ForGrain(0, len(groups), 2, func(gi int) {
-			grp := groups[gi]
-			u := flat[grp.Indices[0]].target
-			// Collect this vertex's discoverers per direction. Both lists
-			// are ascending by construction — flat concatenates the pivot
-			// slots in increasing pivot order and Semisort returns indices
-			// in increasing order — so no sort is needed here (the engine's
-			// dedup discipline: derive order, don't re-establish it). The
-			// carve min-scan and the order-sensitive refine hash below rely
-			// on exactly this order, matching what the removed sorts
-			// produced.
-			var fwd, bwd []int32
-			for _, ix := range grp.Indices {
-				v := flat[ix]
-				if v.fwd {
-					fwd = append(fwd, v.pivot)
-				} else {
-					bwd = append(bwd, v.pivot)
-				}
-			}
-			// Carve: smallest pivot present in both directions.
-			for i, j := 0, 0; i < len(fwd) && j < len(bwd); {
-				switch {
-				case fwd[i] < bwd[j]:
-					i++
-				case fwd[i] > bwd[j]:
-					j++
-				default:
-					scc[u] = fwd[i]
+		parallel.ForGrain(0, n, 2, func(u int) {
+			// flat concatenates the pivot slots in increasing pivot order,
+			// each slot lists its forward visits before its backward ones,
+			// and the group-by is stable: u's visits come in increasing
+			// pivot order, and a pivot that reached u both ways appears as
+			// an adjacent (forward, backward) pair. The carve min-scan and
+			// the order-sensitive refine hash below rely on exactly this
+			// order.
+			grp := idx[off[u]:off[u+1]]
+			// Carve: the first such pair is the smallest pivot present in
+			// both directions.
+			for j := 1; j < len(grp); j++ {
+				if p := flat[grp[j]].pivot; p == flat[grp[j-1]].pivot {
+					scc[u] = p
 					return
 				}
 			}
-			// Refine: hash the exact reachability outcome into the
-			// partition id. A hash collision can only merge partitions,
-			// which affects work but never correctness (carving relies on
-			// mutual reachability alone, and every vertex is eventually
-			// its own pivot).
+			// Refine: hash the exact reachability outcome, forward
+			// discoverers then backward ones, into the partition id. A
+			// hash collision can only merge partitions, which affects work
+			// but never correctness (carving relies on mutual reachability
+			// alone, and every vertex is eventually its own pivot).
 			h := part[u]
-			for _, s := range fwd {
-				h = hashtable.Mix64(h ^ hashtable.Mix64(uint64(s)*2+1))
+			for _, ix := range grp {
+				if v := flat[ix]; v.fwd {
+					h = hashtable.Mix64(h ^ hashtable.Mix64(uint64(v.pivot)*2+1))
+				}
 			}
-			for _, s := range bwd {
-				h = hashtable.Mix64(h ^ hashtable.Mix64(uint64(s)*2))
+			for _, ix := range grp {
+				if v := flat[ix]; !v.fwd {
+					h = hashtable.Mix64(h ^ hashtable.Mix64(uint64(v.pivot)*2))
+				}
 			}
 			part[u] = h
 		})
@@ -183,46 +174,6 @@ func Parallel(g *graph.Graph) (Labels, Stats) {
 		Combine:  combine,
 	}
 	st.Rounds = core.RunType3(n, hooks).Rounds
-	labels, num := canonicalizePar(scc)
-	st.NumSCCs = num
-	return labels, st
-}
-
-// canonicalizePar is Canonicalize + CountSCCs fused for the parallel path:
-// a lock-free table keyed by raw component id accumulates the minimum
-// member per component with a pure min-write Update (retried CAS, the
-// priority-write idiom), then every vertex is relabeled in parallel. The
-// result is identical to Canonicalize (min is order-independent) and the
-// component count falls out of the table for free.
-func canonicalizePar(l Labels) (Labels, int) {
-	// Presized for the worst case of half the vertices being their own
-	// component; shattered graphs beyond that pay one cooperative growth.
-	// int32 minima live in the seqlock inline-slot table: the winning
-	// min-writes allocate no value box (the remaining write cost UpdateIf
-	// could not prune away).
-	minOf := hashtable.NewLockFreeInline[int32, int32](len(l)/2+16,
-		func(k int32) uint64 { return hashtable.Mix64(uint64(uint32(k))) },
-		hashtable.EncInt32, hashtable.DecInt32)
-	parallel.ForGrain(0, len(l), 0, func(v int) {
-		// Pruned priority write (the ReduceMinIndex discipline): a cheap
-		// read skips the table op once the component's minimum has settled
-		// below v, which is the common case; races that slip past the read
-		// take UpdateIf's leave-as-is path, which performs no CAS and
-		// allocates no value box.
-		if cur, ok := minOf.Load(l[v]); ok && cur < int32(v) {
-			return
-		}
-		minOf.UpdateIf(l[v], func(old int32, ok bool) (int32, bool) {
-			if ok && old <= int32(v) {
-				return old, false
-			}
-			return int32(v), true
-		})
-	})
-	out := make(Labels, len(l))
-	parallel.ForGrain(0, len(l), 0, func(v int) {
-		m, _ := minOf.Load(l[v])
-		out[v] = m
-	})
-	return out, minOf.Len()
+	st.NumSCCs = countRoots(scc)
+	return scc, st
 }

@@ -18,8 +18,9 @@ import (
 )
 
 // Labels assigns every vertex its component: vertices with equal values are
-// in the same SCC. Values are arbitrary ids (the parallel and sequential
-// algorithms use the lowest-priority pivot that discovered the component).
+// in the same SCC. Every algorithm here labels a component by its smallest
+// vertex. Sequential and Parallel carve each component out at its first
+// pivot in priority (index) order, and that pivot is its smallest vertex.
 type Labels []int32
 
 // Stats reports the counters of a run.
@@ -211,6 +212,18 @@ func Sequential(g *graph.Graph) (Labels, Stats) {
 			bwd[u] = false
 		}
 	}
-	st.NumSCCs = CountSCCs(scc)
-	return Canonicalize(scc), st
+	st.NumSCCs = countRoots(scc)
+	return scc, st
+}
+
+// countRoots counts the components of labels that name each component by
+// one of its own vertices: the vertices labeled with themselves.
+func countRoots(l Labels) int {
+	c := 0
+	for v, x := range l {
+		if int(x) == v {
+			c++
+		}
+	}
+	return c
 }

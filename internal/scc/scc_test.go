@@ -182,3 +182,48 @@ func TestSeparatingDependenceOrdering(t *testing.T) {
 		t.Fatal("separating-dependence invariant violated: wrong SCCs")
 	}
 }
+
+// TestLabelsEqualTarjan pins the label invariant: Sequential and Parallel
+// return each component labeled by its smallest vertex, exactly the
+// canonical labels Tarjan returns, with no relabeling pass, and count
+// their components right. A carve that kept any pivot but the smallest one
+// reaching a vertex both ways would label that component by a larger
+// vertex.
+func TestLabelsEqualTarjan(t *testing.T) {
+	r := rng.New(11)
+	planted, _ := graph.PlantedSCC(r, 1500, 40, 3000)
+	chain := graph.ChainDAG(800)
+	shuffled, _ := graph.RandomRelabel(chain, r)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnm-sparse", graph.GnmDirected(r, 2000, 2000, false)},
+		{"gnm-dense", graph.GnmDirected(r, 2000, 8000, false)},
+		{"powerlaw", graph.PowerLawDirected(r, 2000, 4)},
+		{"planted", planted},
+		{"cycle-chords", graph.CycleChords(r, 1500, 300)},
+		{"chain", chain},
+		{"chain-shuffled", shuffled},
+	}
+	for _, c := range cases {
+		want := Tarjan(c.g)
+		num := CountSCCs(want)
+		seq, seqSt := Sequential(c.g)
+		par, parSt := Parallel(c.g)
+		for _, got := range []struct {
+			alg    string
+			labels Labels
+			num    int
+		}{{"Sequential", seq, seqSt.NumSCCs}, {"Parallel", par, parSt.NumSCCs}} {
+			for v := range want {
+				if got.labels[v] != want[v] {
+					t.Fatalf("%s %s: vertex %d labeled %d, Tarjan %d", c.name, got.alg, v, got.labels[v], want[v])
+				}
+			}
+			if got.num != num {
+				t.Fatalf("%s %s: NumSCCs=%d, Tarjan has %d", c.name, got.alg, got.num, num)
+			}
+		}
+	}
+}

@@ -1,10 +1,12 @@
-// Package sortutil provides parallel sorting and semisorting (group-by)
-// built on the primitives in internal/parallel.
+// Package sortutil provides a parallel sort and a dense group-by built on
+// the primitives in internal/parallel.
 //
-// The paper's combine steps (LE-lists, SCC) call for a parallel semisort
-// [41] to gather contributions per target vertex, followed by a small sort
-// per group. Semisort here is a sharded group-by; Sort is a block
-// merge sort with parallel block sorting and pairwise merging.
+// The paper's combine steps (LE-lists, SCC, prefix-doubling BST insertion)
+// call for a parallel semisort [41] to gather contributions per target.
+// Every key they group by is a dense integer (a vertex id or a tree slot),
+// so GroupDense does it with a stable counting sort, which also keeps each
+// group in record order and makes a per-group sort unnecessary. Sort is a
+// block merge sort with parallel block sorting and pairwise merging.
 package sortutil
 
 import (
@@ -90,84 +92,79 @@ func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
 	copy(out[k:], b[j:])
 }
 
-// Group is one semisort bucket: all record indices sharing a key.
-type Group struct {
-	Key     uint64
-	Indices []int
-}
+// groupGrain is the fewest records a GroupDense block takes: below it a
+// block's histogram pass costs more than running it on another worker
+// saves.
+const groupGrain = 4096
 
-// Semisort groups the records 0..n-1 by key(i). Groups come back in
-// arbitrary key order but each group's Indices preserve increasing index
-// order. Work is O(n) expected; this is the combine-step primitive for the
-// Type 3 algorithms.
-func Semisort(n int, key func(i int) uint64) []Group {
-	if n == 0 {
-		return nil
+// GroupDense groups the records 0..n-1 by key(i), a dense key in
+// [0, nkeys), with a stable counting sort: the records with key k are
+// idx[off[k]:off[k+1]], in increasing index order. off has nkeys+1 entries
+// and idx has n. Large inputs run in blocks: each block histograms its own
+// records, one pass over the keys turns the histograms into the blocks'
+// write positions, and each block scatters its records there. Blocks are
+// at least nkeys records long, so their histograms cost no more than the
+// records. The output does not depend on the block split. Work O(n +
+// nkeys); this is the combine-step group-by of the Type 3 algorithms.
+func GroupDense(n, nkeys int, key func(i int) int) (off, idx []int32) {
+	off = make([]int32, nkeys+1)
+	idx = make([]int32, n)
+	nb := parallel.NumBlocks(n, max(groupGrain, nkeys))
+	if nb <= 1 || parallel.MaxProcs() == 1 {
+		// Count into off[k+1] and scan, so off[k] is k's start; scatter
+		// with off[k] as k's cursor, which leaves it at k+1's start; then
+		// shift the starts back into place.
+		for i := 0; i < n; i++ {
+			off[key(i)+1]++
+		}
+		for k := 1; k <= nkeys; k++ {
+			off[k] += off[k-1]
+		}
+		for i := 0; i < n; i++ {
+			k := key(i)
+			idx[off[k]] = int32(i)
+			off[k]++
+		}
+		copy(off[1:], off[:nkeys])
+		off[0] = 0
+		return off, idx
 	}
-	nb := 1
-	for nb < 2*parallel.MaxProcs() {
-		nb *= 2
-	}
-	mask := uint64(nb - 1)
-	// Phase 1: per-worker sharded accumulation.
-	type kv struct {
-		key uint64
-		idx int
-	}
-	shards := make([][]kv, nb)
-	var mu = make([]chSpin, nb)
-	parallel.Blocks(0, n, 0, func(lo, hi int) {
-		local := make([][]kv, nb)
+	// hist[b*nkeys+k] counts block b's records with key k, then holds
+	// where the next of them goes.
+	hist := make([]int32, nb*nkeys)
+	parallel.BlocksN(0, n, nb, func(b, lo, hi int) {
+		h := hist[b*nkeys : (b+1)*nkeys]
+		for i := lo; i < hi; i++ {
+			h[key(i)]++
+		}
+	})
+	parallel.Blocks(0, nkeys, 0, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			var c int32
+			for b := 0; b < nb; b++ {
+				c += hist[b*nkeys+k]
+			}
+			off[k] = c
+		}
+	})
+	off[nkeys] = parallel.PrefixSums(off[:nkeys])
+	parallel.Blocks(0, nkeys, 0, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			pos := off[k]
+			for b := 0; b < nb; b++ {
+				c := hist[b*nkeys+k]
+				hist[b*nkeys+k] = pos
+				pos += c
+			}
+		}
+	})
+	parallel.BlocksN(0, n, nb, func(b, lo, hi int) {
+		h := hist[b*nkeys : (b+1)*nkeys]
 		for i := lo; i < hi; i++ {
 			k := key(i)
-			s := mix(k) & mask
-			local[s] = append(local[s], kv{k, i})
-		}
-		for s := range local {
-			if len(local[s]) == 0 {
-				continue
-			}
-			mu[s].lock()
-			shards[s] = append(shards[s], local[s]...)
-			mu[s].unlock()
+			idx[h[k]] = int32(i)
+			h[k]++
 		}
 	})
-	// Phase 2: per-shard grouping with a map; shards are independent.
-	results := make([][]Group, nb)
-	parallel.ForGrain(0, nb, 1, func(s int) {
-		if len(shards[s]) == 0 {
-			return
-		}
-		m := make(map[uint64][]int, len(shards[s])/2+1)
-		for _, e := range shards[s] {
-			m[e.key] = append(m[e.key], e.idx)
-		}
-		gs := make([]Group, 0, len(m))
-		for k, idxs := range m {
-			sort.Ints(idxs)
-			gs = append(gs, Group{Key: k, Indices: idxs})
-		}
-		results[s] = gs
-	})
-	var out []Group
-	for _, gs := range results {
-		out = append(out, gs...)
-	}
-	return out
+	return off, idx
 }
-
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chSpin is a tiny mutex used for shard appends (cheaper than sync.Mutex is
-// not worth chasing here; it wraps one). Kept as a named type so the shard
-// array pads nicely.
-type chSpin struct {
-	mu padMutex
-}
-
-func (c *chSpin) lock()   { c.mu.Lock() }
-func (c *chSpin) unlock() { c.mu.Unlock() }

@@ -1,6 +1,7 @@
 package sortutil
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -90,73 +91,109 @@ func TestSortQuick(t *testing.T) {
 	}
 }
 
-func TestSemisortGroups(t *testing.T) {
-	n := 10000
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i % 37)
+// groupOracle is a plain sequential counting sort: the reference
+// GroupDense must match exactly, whatever its block split.
+func groupOracle(keys []int, nkeys int) (off, idx []int32) {
+	off = make([]int32, nkeys+1)
+	for _, k := range keys {
+		off[k+1]++
 	}
-	groups := Semisort(n, func(i int) uint64 { return keys[i] })
-	if len(groups) != 37 {
-		t.Fatalf("groups=%d want 37", len(groups))
+	for k := 0; k < nkeys; k++ {
+		off[k+1] += off[k]
 	}
-	seen := 0
-	for _, g := range groups {
-		seen += len(g.Indices)
-		for k, idx := range g.Indices {
-			if keys[idx] != g.Key {
-				t.Fatalf("index %d in wrong group %d", idx, g.Key)
+	next := append([]int32(nil), off[:nkeys]...)
+	idx = make([]int32, len(keys))
+	for i, k := range keys {
+		idx[next[k]] = int32(i)
+		next[k]++
+	}
+	return off, idx
+}
+
+// checkGroupDense checks GroupDense on keys: the CSR shape, every index
+// exactly once and in its key's group, ascending order inside each group,
+// and equality with the oracle.
+func checkGroupDense(t *testing.T, name string, keys []int, nkeys int) {
+	t.Helper()
+	n := len(keys)
+	off, idx := GroupDense(n, nkeys, func(i int) int { return keys[i] })
+	if len(off) != nkeys+1 || len(idx) != n {
+		t.Fatalf("%s: len(off)=%d len(idx)=%d, want %d and %d", name, len(off), len(idx), nkeys+1, n)
+	}
+	if off[0] != 0 || int(off[nkeys]) != n {
+		t.Fatalf("%s: off[0]=%d off[nkeys]=%d, want 0 and %d", name, off[0], off[nkeys], n)
+	}
+	seen := make([]bool, n)
+	for k := 0; k < nkeys; k++ {
+		if off[k] > off[k+1] {
+			t.Fatalf("%s: off decreases at key %d", name, k)
+		}
+		for j := off[k]; j < off[k+1]; j++ {
+			i := idx[j]
+			if seen[i] {
+				t.Fatalf("%s: index %d appears twice", name, i)
 			}
-			if k > 0 && g.Indices[k] <= g.Indices[k-1] {
-				t.Fatal("group indices must be increasing")
+			seen[i] = true
+			if keys[i] != k {
+				t.Fatalf("%s: index %d (key %d) in group %d", name, i, keys[i], k)
+			}
+			if j > off[k] && idx[j-1] >= i {
+				t.Fatalf("%s: group %d not ascending: %d then %d", name, k, idx[j-1], i)
 			}
 		}
 	}
-	if seen != n {
-		t.Fatalf("semisort covered %d of %d records", seen, n)
+	wantOff, wantIdx := groupOracle(keys, nkeys)
+	if !slices.Equal(off, wantOff) || !slices.Equal(idx, wantIdx) {
+		t.Fatalf("%s: differs from the sequential counting sort", name)
 	}
 }
 
-func TestSemisortSingletonAndEmpty(t *testing.T) {
-	if g := Semisort(0, func(int) uint64 { return 0 }); g != nil {
-		t.Fatal("empty semisort should be nil")
+// TestGroupDense covers the shapes the Type 3 combines produce. The large
+// cases (n at least twice max(nkeys, groupGrain)) take the blocked path
+// whenever the test runs with more than one worker.
+func TestGroupDense(t *testing.T) {
+	r := rng.New(3)
+	gen := func(n int, key func(i int) int) []int {
+		keys := make([]int, n)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		return keys
 	}
-	g := Semisort(1, func(int) uint64 { return 99 })
-	if len(g) != 1 || g[0].Key != 99 || len(g[0].Indices) != 1 {
-		t.Fatalf("singleton semisort: %+v", g)
+	perm := r.Perm(5000)
+	cases := []struct {
+		name  string
+		keys  []int
+		nkeys int
+	}{
+		{"empty", nil, 0},
+		{"empty-keys", nil, 7},
+		{"single", []int{4}, 9},
+		{"one-key", gen(20000, func(int) int { return 0 }), 1},
+		{"all-distinct", gen(5000, func(i int) int { return perm[i] }), 5000},
+		{"skewed", gen(300000, func(i int) int {
+			if r.Intn(2) == 0 {
+				return 0 // a hub collects half the records
+			}
+			return r.Intn(1 + r.Intn(2000))
+		}), 2000},
+		{"nkeys>n", gen(1000, func(int) int { return r.Intn(50000) }), 50000},
+		{"n>>nkeys", gen(1<<18, func(i int) int { return i % 37 }), 37},
+		{"n>>nkeys-random", gen(1<<17, func(int) int { return r.Intn(500) }), 500},
+	}
+	for _, c := range cases {
+		checkGroupDense(t, c.name, c.keys, c.nkeys)
 	}
 }
 
-func TestSemisortAllDistinctKeys(t *testing.T) {
-	n := 5000
-	groups := Semisort(n, func(i int) uint64 { return uint64(i) * 2654435761 })
-	if len(groups) != n {
-		t.Fatalf("distinct keys: groups=%d want %d", len(groups), n)
-	}
-}
-
-func TestSemisortQuick(t *testing.T) {
-	f := func(keys []uint8) bool {
-		groups := Semisort(len(keys), func(i int) uint64 { return uint64(keys[i]) })
-		count := map[uint64]int{}
-		for _, g := range groups {
-			if _, dup := count[g.Key]; dup {
-				return false // duplicate group key
-			}
-			count[g.Key] = len(g.Indices)
+func TestGroupDenseQuick(t *testing.T) {
+	f := func(raw []uint8, width uint8) bool {
+		nkeys := int(width) + 1
+		keys := make([]int, len(raw))
+		for i, k := range raw {
+			keys[i] = int(k) % nkeys
 		}
-		want := map[uint64]int{}
-		for _, k := range keys {
-			want[uint64(k)]++
-		}
-		if len(count) != len(want) {
-			return false
-		}
-		for k, c := range want {
-			if count[k] != c {
-				return false
-			}
-		}
+		checkGroupDense(t, "quick", keys, nkeys)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
