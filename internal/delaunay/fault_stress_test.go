@@ -12,9 +12,9 @@ import (
 )
 
 // Round-engine fault stress (ridtfault build): injected panics at the
-// phase boundaries (and inside the face map's migrations) kill rounds at
-// seeded points; the engine's lazy rollback must repair every death, and
-// the survivors' retries must reproduce the exact deterministic mesh.
+// phase boundaries kill rounds at seeded points; the engine's lazy
+// rollback must repair every death, and the survivors' retries must
+// reproduce the exact deterministic mesh.
 
 // stepFaulted runs one step, translating an injected death into a
 // retry signal. Any non-injected panic is a real bug and re-panics.
@@ -78,9 +78,7 @@ func TestRoundEngineSurvivesPhasePanics(t *testing.T) {
 }
 
 // TestRoundEngineSurvivesAllSites opens every site at once — scheduler
-// delays and forced steals, face-map migration deaths, phase deaths — the
-// full storm. Migration panics die inside Phase B's parallel loop, so this
-// exercises rollback of partially installed rounds specifically.
+// delays and forced steals, phase deaths — the full storm.
 func TestRoundEngineSurvivesAllSites(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 4 {

@@ -122,8 +122,8 @@ func newRoundEngine(pts []geom.Point) *roundEngine {
 	// value slots (see hashtable/DESIGN.md), so the attachment storm of a
 	// round performs no allocation. The identity hasher suffices: the
 	// table applies its own finalizing Mix64 to spread packed face keys.
-	// Pre-sizing covers the common case; growth is cooperative if a
-	// workload overflows it.
+	// Pre-sizing covers the common case; step's per-round Reserve grows
+	// the table between rounds if a workload overflows it.
 	faces := hashtable.NewLockFreeInline[uint64, faceEntry](8*len(pts)+16,
 		func(k uint64) uint64 { return k }, encFace, decFace)
 	e := &roundEngine{s: s, faces: faces, ar: newRoundArena()}
@@ -226,6 +226,11 @@ func (e *roundEngine) step() bool {
 	if m == 0 {
 		return false
 	}
+	// Each fire adds at most its two new faces to the face map, so the
+	// round's growth is known before Phase B; Reserve is the table's one
+	// growth point. It runs before arm, so a panic here leaves the engine
+	// clean.
+	faces.Reserve(2 * m)
 
 	// Mutation section: arm the rollback snapshot, then move the round.
 	e.arm(m)

@@ -30,7 +30,7 @@ func benchEngine(n int) *roundEngine {
 	for e.step() {
 	}
 	var cand []uint64
-	e.faces.Range(func(k uint64, v faceEntry) bool {
+	e.faces.Snapshot().Range(func(k uint64, v faceEntry) bool {
 		cand = append(cand, k)
 		return true
 	})

@@ -23,8 +23,8 @@ import (
 //   - the face map: which up-to-two alive triangles are incident to each
 //     face of the current (half-built) triangulation. Aliveness is not
 //     recorded in the append-only triangle log (the log keeps ripped
-//     triangles forever, by design), so the map is serialized as the face
-//     table's epoch snapshot rather than recomputed.
+//     triangles forever, by design), so the map is serialized from a face
+//     table snapshot rather than recomputed.
 //
 // Why a committed round boundary is a sufficient restore point at all is
 // the monotone-final invariant (view.go, DESIGN.md): committed triangles
@@ -33,8 +33,8 @@ import (
 // selection. The boundary state therefore IS a prefix of the one
 // deterministic run — resuming from it replays the identical remainder.
 //
-// CaptureState must be called by the publisher between Step calls (the
-// same quiesced point AdvanceEpoch runs at). It copies only what later
+// CaptureState must be called by the publisher between Step calls, where
+// face-map mutators are quiesced. It copies only what later
 // rounds mutate — the face map, the candidate list, the counters — and
 // shares the append-only storage (points, triangle-log prefix, depths,
 // final ids) with the engine: committed prefixes are immutable, so a
@@ -72,7 +72,7 @@ type BuildState struct {
 	Tris  []Tri        // committed triangle-log entries past Base.Tris
 	Depth []int32      // dependence depth per entry of Tris
 	Final []int32      // ids of final triangles past Base.Final, ascending
-	Faces []FaceRec    // face-map epoch snapshot at the boundary
+	Faces []FaceRec    // face-map snapshot at the boundary
 	Cand  []uint64     // candidate faces for the next round, in order
 	Stats Stats
 	Pred  geom.PredicateStats
@@ -104,7 +104,6 @@ func (lv *Live) CaptureState() *BuildState {
 		st.Faces = append(st.Faces, FaceRec{Key: k, W0: w0, W1: w1})
 		return true
 	})
-	snap.Close()
 	return st
 }
 
@@ -296,9 +295,10 @@ func (st *BuildState) Validate() error {
 // from the checkpointed round and — by the determinism contract — emits
 // exactly the triangles the uninterrupted run would have, so the final
 // mesh is identical. The restored publication cell continues the
-// pre-crash epoch numbering (parallel.Epoch.PublishAt), and the face
-// map's table epoch is re-advanced to the restored round so snapshot
-// epochs keep matching publication rounds at the boundaries.
+// pre-crash epoch numbering (parallel.Epoch.PublishAt). The face map is
+// sized for the larger of the build's pre-size and the restored faces, so
+// a state captured after the map grew restores without a claim past its
+// limit.
 //
 // ResumeLive copies the state's mutable containers (the triangle log,
 // depths, candidates, final ids) into engine-owned storage; Pts and the
@@ -322,13 +322,10 @@ func ResumeLive(st *BuildState) (*Live, error) {
 	s.tris = append(make([]Tri, 0, resCap), st.Tris...)
 	s.depth = append(make([]int32, 0, resCap), st.Depth...)
 
-	faces := hashtable.NewLockFreeInline[uint64, faceEntry](8*st.N+16,
+	faces := hashtable.NewLockFreeInline[uint64, faceEntry](max(8*st.N+16, len(st.Faces)),
 		func(k uint64) uint64 { return k }, encFace, decFace)
 	for _, f := range st.Faces {
 		faces.Store(f.Key, decFace(f.W0, f.W1))
-	}
-	for faces.Epoch() < uint64(st.Round) {
-		faces.AdvanceEpoch()
 	}
 
 	e := &roundEngine{

@@ -37,8 +37,7 @@ import (
 // parallel.Epoch cell. Readers get the latest view wait-free, or block
 // for a newer one; a view stays valid forever — it shares the engine's
 // append-only storage, and rollback can never truncate below a committed
-// boundary. The face map's table epoch is advanced at the same boundary,
-// so open table snapshots and mesh views retire in lockstep.
+// boundary.
 
 // MeshView is an immutable snapshot of a triangulation under
 // construction, published at a committed round boundary. It supports
@@ -400,10 +399,6 @@ func (lv *Live) Step(c *parallel.Canceler) (bool, error) {
 	if fault.Enabled {
 		fault.Inject(fault.EpochPublish)
 	}
-	// Advance the face map's table epoch at the same boundary: mutators
-	// are quiesced here (the phase contract), the root is flattened, and
-	// superseded slot arrays no snapshot pins are reclaimed.
-	lv.e.faces.AdvanceEpoch()
 	lv.collect()
 	lv.done = !more
 	lv.publish()
@@ -432,9 +427,11 @@ func (lv *Live) Await(after uint64, c *parallel.Canceler) (*MeshView, uint64, er
 	return lv.pub.Await(after, c)
 }
 
-// Faces opens a snapshot of the face map for adjacency queries; Close it
-// when done. The snapshot is O(1) and stays torn-free under the
-// publisher's concurrent writes (regular reads — see hashtable.Snap).
+// Faces opens a snapshot of the face map for adjacency queries. The
+// snapshot is O(1) and stays torn-free under the publisher's concurrent
+// writes (regular reads — see hashtable.Snap). Open it after taking the
+// view it serves: a snapshot opened after a round's Reserve holds every
+// face that round and the earlier ones wrote.
 func (lv *Live) Faces() FaceSnap {
 	return FaceSnap{snap: lv.e.faces.Snapshot()}
 }
@@ -470,10 +467,6 @@ type FaceSnap struct {
 	snap hashtable.Snap[uint64, faceEntry]
 }
 
-// Epoch is the face-map table epoch the snapshot was taken at; it
-// matches the publication round when taken at a boundary.
-func (fs FaceSnap) Epoch() uint64 { return fs.snap.Epoch() }
-
 // Incident returns the up-to-two triangles incident to edge (a, b), if
 // the edge is a face of the current (or snapshot-time) triangulation.
 // t1 == NoTri means a hull face or a face awaiting its second triangle.
@@ -490,5 +483,7 @@ func (fs FaceSnap) Incident(a, b int32) (t0, t1 int32, ok bool) {
 // Len counts the faces visible to the snapshot.
 func (fs FaceSnap) Len() int { return fs.snap.Len() }
 
-// Close releases the snapshot's pin on retired face-map tables.
-func (fs FaceSnap) Close() { fs.snap.Close() }
+// Close does nothing: a snapshot holds no resource beyond the memory the
+// garbage collector reclaims once it is unreachable. It stays so callers
+// that release their snapshots keep compiling.
+func (fs FaceSnap) Close() {}

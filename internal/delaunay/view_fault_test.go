@@ -13,9 +13,8 @@ import (
 )
 
 // Publication-protocol fault stress (ridtfault build): the EpochPublish
-// site fires between a round's commit and its publication — in
-// Live.Step directly and inside the face table's AdvanceEpoch — so an
-// injected death models the publisher dying with a committed round
+// site fires in Live.Step between a round's commit and its publication,
+// so an injected death models the publisher dying with a committed round
 // unpublished. The committed state is durable, so a retried Step's
 // publication covers every round since the last published one: readers
 // observe round gaps, never an inconsistent view.

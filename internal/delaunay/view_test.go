@@ -636,7 +636,7 @@ func TestLiveEdgeCases(t *testing.T) {
 
 // TestFaceSnapServing: the face snapshot knows every committed
 // triangle's edges, reports hull faces with one side open, and survives
-// (torn-free) across the build; Len and Epoch behave.
+// (torn-free) across the build; Len behaves.
 func TestFaceSnapServing(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(44), 700))
 	lv := NewLive(pts)
@@ -646,9 +646,6 @@ func TestFaceSnapServing(t *testing.T) {
 	v := lv.View()
 	fs := lv.Faces()
 	defer fs.Close()
-	if fs.Epoch() == 0 {
-		t.Fatal("face snapshot epoch 0 after a full build of boundaries")
-	}
 	if fs.Len() == 0 {
 		t.Fatal("face snapshot empty after build")
 	}

@@ -24,7 +24,7 @@ func TestDecideRates(t *testing.T) {
 	const trials = 20000
 	var panics, errs, delays int
 	for n := uint64(0); n < trials; n++ {
-		switch decide(7, TableMigrate, n, 0.1, 0.1, 0.3) {
+		switch decide(7, Type3Round, n, 0.1, 0.1, 0.3) {
 		case ActPanic:
 			panics++
 		case ActErr:
@@ -105,7 +105,7 @@ func TestDecideGolden(t *testing.T) {
 		seed uint64
 		s    Site
 		n    uint64
-	}{{7, TableMigrate, 0}, {7, TableMigrate, 1}, {31, DelaunayPhase, 4}, {31, Type2SubRound, 9}} {
+	}{{7, SchedSteal, 0}, {7, SchedSteal, 1}, {31, DelaunayPhase, 4}, {31, Type2SubRound, 9}} {
 		with := decide(g.seed, g.s, g.n, 0.1, 0, 0.3)
 		legacy := decide(g.seed, g.s, g.n, 0.1, 1e-18, 0.3) // sub-resolution band
 		if with != legacy {
@@ -149,8 +149,8 @@ func TestDecideSeedsDiffer(t *testing.T) {
 }
 
 func TestMaskOf(t *testing.T) {
-	c := Config{SiteMask: MaskOf(SchedClaim, TableMigrate)}
-	if !c.enabledSite(SchedClaim) || !c.enabledSite(TableMigrate) {
+	c := Config{SiteMask: MaskOf(SchedClaim, Type3Round)}
+	if !c.enabledSite(SchedClaim) || !c.enabledSite(Type3Round) {
 		t.Fatal("masked-in site reported disabled")
 	}
 	if c.enabledSite(DelaunayPhase) {
@@ -167,13 +167,20 @@ func TestMaskOf(t *testing.T) {
 func TestSiteStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for s := Site(0); s < NumSites; s++ {
+		if s == 2 {
+			// The retired table-migration slot: reserved, unnamed.
+			if s.String() != "fault-site-?" {
+				t.Fatalf("retired site 2 is named %q", s.String())
+			}
+			continue
+		}
 		n := s.String()
 		if n == "" || n == "fault-site-?" || seen[n] {
 			t.Fatalf("site %d has bad or duplicate name %q", s, n)
 		}
 		seen[n] = true
 	}
-	if (Injected{Site: TableMigrate, Hit: 3}).Error() == "" {
+	if (Injected{Site: DelaunayPhase, Hit: 3}).Error() == "" {
 		t.Fatal("Injected must describe itself")
 	}
 }

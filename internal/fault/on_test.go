@@ -183,15 +183,15 @@ func TestFirstHitTargets(t *testing.T) {
 }
 
 func TestSiteMaskScopes(t *testing.T) {
-	if err := Enable(Config{Seed: 11, DelayRate: 1, SiteMask: MaskOf(TableMigrate)}); err != nil {
+	if err := Enable(Config{Seed: 11, DelayRate: 1, SiteMask: MaskOf(Type2SubRound)}); err != nil {
 		t.Fatalf("Enable: %v", err)
 	}
 	defer Disable()
 	Inject(SchedClaim)
-	Inject(TableMigrate)
+	Inject(Type2SubRound)
 	ev := Events()
-	if len(ev) != 1 || ev[0].Site != TableMigrate {
-		t.Fatalf("Events = %v, want exactly one table-migrate delay", ev)
+	if len(ev) != 1 || ev[0].Site != Type2SubRound {
+		t.Fatalf("Events = %v, want exactly one type2-subround delay", ev)
 	}
 	if Hits(SchedClaim) != 0 {
 		t.Fatal("masked-out site still counted a hit")

@@ -1,12 +1,12 @@
 // Package fault is the repository's deterministic fault-injection harness.
 //
 // The robustness suites need to ask "does the scheduler, the round engine,
-// or a hash-table migration stay consistent when a participant is delayed,
+// or the checkpoint writer stay consistent when a participant is delayed,
 // diverted, or dies at this exact point?" — and they need the answer to be
 // replayable. This package provides named injection points compiled into
-// the scheduler claim/steal path, the hash-table migration loop, and the
-// engine round/phase boundaries, driven by a seeded, deterministic
-// schedule.
+// the scheduler claim/steal path, the engine round/phase boundaries, the
+// publication step and the checkpoint writer, driven by a seeded,
+// deterministic schedule.
 //
 // The package has two builds:
 //
@@ -50,13 +50,11 @@ const (
 	// SchedSteal fires before a steal sweep over the other lanes.
 	// Supports Delay.
 	SchedSteal
-	// TableMigrate fires at the top of each cooperative-migration chunk
-	// claim (internal/hashtable LockFreeInline.helpMigrate), before the
-	// chunk counter is advanced. Supports Delay and Panic: a panic here
-	// models an operation dying mid-growth; because it fires before the
-	// claim, no chunk is ever stranded claimed-but-unmigrated, and the
-	// surviving threads (or a later Flatten) finish the migration.
-	TableMigrate
+	// Site 2 is retired and reserved: it was the hash table's
+	// cooperative-migration loop, which no longer exists (the table grows
+	// only in Reserve, between phases). Every later site keeps its number,
+	// because decide draws from it and recorded seeds must replay.
+	_
 	// DelaunayPhase fires between the phases of a Delaunay engine round
 	// (activation, A, B, emission). Supports Delay and Panic; a panic here
 	// exercises the engine's round rollback.
@@ -68,12 +66,11 @@ const (
 	// and Panic.
 	Type3Round
 	// EpochPublish fires between a committed round and the publication of
-	// its snapshot view (delaunay.Live.Step, hashtable
-	// LockFreeInline.AdvanceEpoch). Supports Delay and Panic: a panic
-	// models the publisher dying after the round committed but before
-	// readers could see it — the round's effects are durable, and the next
-	// successful publication covers the orphaned round, so readers observe
-	// a gap in epochs but never an inconsistent view.
+	// its snapshot view (delaunay.Live.Step). Supports Delay and Panic: a
+	// panic models the publisher dying after the round committed but
+	// before readers could see it — the round's effects are durable, and
+	// the next successful publication covers the orphaned round, so
+	// readers observe a gap in epochs but never an inconsistent view.
 	EpochPublish
 	// CheckpointFrame fires before each frame write of a checkpoint save,
 	// root or link (internal/checkpoint.Writer.SaveAuto, and the
@@ -105,7 +102,6 @@ const (
 var siteNames = [NumSites]string{
 	SchedClaim:       "sched-claim",
 	SchedSteal:       "sched-steal",
-	TableMigrate:     "table-migrate",
 	DelaunayPhase:    "delaunay-phase",
 	Type2SubRound:    "type2-subround",
 	Type3Round:       "type3-round",
@@ -116,7 +112,7 @@ var siteNames = [NumSites]string{
 }
 
 func (s Site) String() string {
-	if int(s) < len(siteNames) {
+	if int(s) < len(siteNames) && siteNames[s] != "" {
 		return siteNames[s]
 	}
 	return "fault-site-?"
@@ -127,7 +123,7 @@ func (s Site) String() string {
 // catalog above for why).
 func panicCapable(s Site) bool {
 	switch s {
-	case TableMigrate, DelaunayPhase, Type2SubRound, Type3Round, EpochPublish,
+	case DelaunayPhase, Type2SubRound, Type3Round, EpochPublish,
 		CheckpointFrame, CheckpointCommit, ScrubVerify:
 		return true
 	}

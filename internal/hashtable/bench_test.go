@@ -45,22 +45,6 @@ func BenchmarkHashtableInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkHashtableInsertGrow is the same insert load but starting from a
-// tiny table, so the lock-free path pays its cooperative migrations and the
-// sharded path pays Go map rehashes.
-func BenchmarkHashtableInsertGrow(b *testing.B) {
-	for name, mk := range benchTables(8) {
-		b.Run("impl="+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := mk()
-				parallel.ForGrain(0, benchN, 256, func(k int) {
-					m.Store(uint64(k), int64(k))
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkHashtableLookup is a read-only parallel probe of a populated
 // table (the face-map activation pattern): 90% hits, 10% misses.
 func BenchmarkHashtableLookup(b *testing.B) {
@@ -132,26 +116,6 @@ func BenchmarkHashtableMixed(b *testing.B) {
 					}
 				})
 				sink.Store(local.Load())
-			}
-		})
-	}
-}
-
-// BenchmarkHashtableRange sweeps a populated table (the bulk-phase shape).
-func BenchmarkHashtableRange(b *testing.B) {
-	for name, mk := range benchTables(benchN) {
-		b.Run("impl="+name, func(b *testing.B) {
-			m := mk()
-			for k := 0; k < benchN; k++ {
-				m.Store(uint64(k), int64(k))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var total int64
-				m.Range(func(k uint64, v int64) bool { total += v; return true })
-				if total == 0 {
-					b.Fatal("empty sweep")
-				}
 			}
 		})
 	}

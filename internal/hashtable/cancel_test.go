@@ -8,24 +8,23 @@ import (
 	"repro/internal/parallel"
 )
 
-// Abandoned-loop stress for the growable table (and the Map oracle): a
-// parallel insert loop is stopped partway — its bodies poll a stop flag
-// raised after a quarter of the writes, the way a caller abandons work
-// mid-loop — while cooperative migration is in flight. The abandoned
-// table is flattened and its surviving contents are checked for exact
+// Abandoned-loop stress for the table (and the Map oracle): a parallel
+// insert loop is stopped partway — its bodies poll a stop flag raised
+// after a quarter of the writes, the way a caller abandons work mid-loop.
+// The loop starts on a tiny table grown by the Reserve at its phase
+// boundary. The abandoned table's contents are checked for exact
 // equivalence against an oracle of the writes that actually executed:
 // every write that ran is present with its final value, no write is
 // duplicated, lost, or corrupted, and the table stays fully usable
 // afterwards. The table never sees the flag; what it must survive is a
-// growth whose mutators simply stop arriving.
+// phase whose mutators simply stop arriving.
 
 func intHasher(k int) uint64 { return uint64(k) }
 
 func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 	const (
-		n       = 1 << 15
-		seedCap = 16 // tiny start: inserts force repeated migrations
-		trials  = 8
+		n      = 1 << 15
+		trials = 8
 	)
 	for trial := 0; trial < trials; trial++ {
 		h := mk()
@@ -34,6 +33,7 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 		var count atomic.Int64
 		cutoff := int64(n / 4)
 
+		h.Reserve(n)
 		parallel.ForGrain(0, n, 64, func(i int) {
 			if stop.Load() {
 				return
@@ -53,11 +53,8 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 			t.Fatalf("trial %d: the stop flag never cut the loop short", trial)
 		}
 
-		// The loop has returned: no mutators remain. Flatten must complete
-		// any abandoned migration and leave a plain table.
-		h.Flatten()
-
-		// Every write that provably completed is present with its value.
+		// The loop has returned, so no mutators remain: every write that
+		// provably completed is present with its value.
 		missing := 0
 		executed.Range(func(k, v any) bool {
 			got, ok := h.Load(k.(int))
@@ -71,11 +68,11 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 			return true
 		})
 		if missing > 0 {
-			t.Fatalf("trial %d: %d completed writes missing after stop+flatten", trial, missing)
+			t.Fatalf("trial %d: %d completed writes missing after stop", trial, missing)
 		}
 		// And nothing is present that was never written: every surviving
 		// key decodes to the value this trial's writes would have given it.
-		h.Range(func(k, v int) bool {
+		h.Snapshot().Range(func(k, v int) bool {
 			if want := k*3 + trial; v != want {
 				t.Fatalf("trial %d: stray entry %d=%d (want %d)", trial, k, v, want)
 			}
@@ -83,10 +80,11 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 		})
 
 		// The table remains fully usable: finish the workload and verify.
+		h.Reserve(n)
 		for i := 0; i < n; i++ {
 			h.Store(i, i*3+trial)
 		}
-		if got := h.Len(); got != n {
+		if got := h.Snapshot().Len(); got != n {
 			t.Fatalf("trial %d: post-stop refill Len = %d, want %d", trial, got, n)
 		}
 	}
@@ -94,7 +92,7 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 
 func TestLockFreeInlineCancelDuringGrowth(t *testing.T) {
 	runCancelGrowthStress(t, func() Table[int, int] {
-		return NewLockFreeInline[int, int](16, intHasher, EncInt, DecInt)
+		return NewLockFreeInline[int, int](16, intHasher, EncInt, DecInt) // tiny: the loop's Reserve grows it
 	})
 }
 

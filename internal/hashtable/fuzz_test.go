@@ -12,17 +12,18 @@ import (
 
 // FuzzLockFree decodes data as a stream of 3-byte (op, key, val) records
 // over a 32-key space and checks the lock-free table against a map oracle
-// after every op. The table starts at capacity 2 so streams longer than a
-// few inserts force resizes.
+// after every op. The table starts at capacity 2 and every op that may
+// add keys runs behind a Reserve, so streams longer than a few inserts
+// grow the table.
 func FuzzLockFree(f *testing.F) {
-	// Seeds: each single op, a delete-heavy mix, and an insert run long
-	// enough to cross two growths.
+	// Seeds: each single op, an update-after-delete mix, and an insert run
+	// long enough to cross two growths.
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 42})
 	f.Add([]byte{1, 1, 0})
 	f.Add([]byte{2, 1, 0})
 	f.Add([]byte{3, 5, 7, 3, 5, 7, 1, 5, 0})
-	f.Add([]byte{4, 9, 1, 4, 9, 2, 2, 9, 0, 4, 9, 3})
+	f.Add([]byte{3, 9, 1, 2, 9, 0, 3, 9, 2, 1, 9, 0, 2, 9, 0, 1, 9, 0})
 	grow := make([]byte, 0, 3*96)
 	for i := 0; i < 96; i++ {
 		grow = append(grow, 0, byte(i), byte(i*3))
@@ -43,6 +44,7 @@ func fuzzReplay(t *testing.T, tab *LockFreeInline[int, int], data []byte) {
 		val := int(data[i+2])
 		switch op {
 		case opStore:
+			tab.Reserve(1)
 			tab.Store(key, val)
 			oracle[key] = val
 		case opLoad:
@@ -55,7 +57,8 @@ func fuzzReplay(t *testing.T, tab *LockFreeInline[int, int], data []byte) {
 			tab.Delete(key)
 			delete(oracle, key)
 		case opUpdate:
-			got := tab.UpdateAndGet(key, func(old int, ok bool) int {
+			tab.Reserve(1)
+			tab.Update(key, func(old int, ok bool) int {
 				if !ok {
 					return val
 				}
@@ -66,25 +69,13 @@ func fuzzReplay(t *testing.T, tab *LockFreeInline[int, int], data []byte) {
 				want = old*2 + val
 			}
 			oracle[key] = want
-			if got != want {
-				t.Fatalf("op %d: UpdateAndGet(%d) = %d, oracle %d", i/3, key, got, want)
-			}
-		case opLoadOrStore:
-			got, loaded := tab.LoadOrStore(key, val)
-			want, wok := oracle[key]
-			if loaded != wok {
-				t.Fatalf("op %d: LoadOrStore(%d) loaded=%v, oracle present=%v", i/3, key, loaded, wok)
-			}
-			if !loaded {
-				oracle[key] = val
-				want = val
-			}
-			if got != want {
-				t.Fatalf("op %d: LoadOrStore(%d) = %d, oracle %d", i/3, key, got, want)
+			if got, _ := tab.Load(key); got != want {
+				t.Fatalf("op %d: Update(%d) stored %d, oracle %d", i/3, key, got, want)
 			}
 		case opGrowBurst:
 			// Bulk insert outside the 32-key space to force a resize
 			// while the small keys stay live.
+			tab.Reserve(64)
 			for j := 0; j < 64; j++ {
 				k := 1000 + key*64 + j
 				tab.Store(k, val+j)
@@ -92,10 +83,11 @@ func fuzzReplay(t *testing.T, tab *LockFreeInline[int, int], data []byte) {
 			}
 		}
 	}
-	if tab.Len() != len(oracle) {
-		t.Fatalf("final Len=%d oracle=%d", tab.Len(), len(oracle))
+	s := tab.Snapshot()
+	if s.Len() != len(oracle) {
+		t.Fatalf("final Len=%d oracle=%d", s.Len(), len(oracle))
 	}
-	tab.Range(func(k, v int) bool {
+	s.Range(func(k, v int) bool {
 		if want, ok := oracle[k]; !ok || v != want {
 			t.Fatalf("Range key %d = %d, oracle (%d,%v)", k, v, want, ok)
 		}

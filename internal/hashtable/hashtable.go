@@ -2,11 +2,12 @@
 // face map and the closest-pair grids.
 //
 // The paper's parallel algorithms assume a work-efficient parallel hash
-// table (Gil, Matias & Vishkin). LockFreeInline is that table: a growable
+// table (Gil, Matias & Vishkin). LockFreeInline is that table: a
 // phase-concurrent open-addressing table with CAS-claimed linear-probing
-// slots, cooperative migration, and seqlock inline value slots for small
-// POD values, so no write allocates. Snapshot gives readers an O(1)
-// epoch-pinned view while writers keep running (epoch.go). The tests check
+// slots and seqlock inline value slots for small POD values, so no write
+// allocates. A table admits the capacity it was built for; Reserve, a
+// phase operation, grows it between phases. Snapshot gives readers an
+// O(1) pinned view while writers keep running (snap.go). The tests check
 // it against a sharded mutex map kept as the oracle. DESIGN.md in this
 // directory has the full protocol.
 package hashtable

@@ -43,11 +43,11 @@ func newInlineInt(capacity int) *LockFreeInline[int, int] {
 }
 
 // TestInlineTornReadStress hammers a small key space with two-word writes
-// whose halves are linked (b = a*magic), while readers assert every
-// snapshot is internally consistent. Concurrent inserts of fresh keys
-// force cooperative migrations under the readers' feet, so frozen slots
-// and installs are read through the same seqlock path. Run under -race by
-// the CI race job.
+// whose halves are linked (b = a*magic), while readers assert every value
+// they load is internally consistent. The writes run in phases, each
+// inserting fresh keys beside the hot-key traffic, with a growing Reserve
+// at every boundary, so the readers' loads straddle the root swaps. Run
+// under -race by the CI race job.
 func TestInlineTornReadStress(t *testing.T) {
 	p := runtime.GOMAXPROCS(0)
 	if p < 4 {
@@ -57,40 +57,12 @@ func TestInlineTornReadStress(t *testing.T) {
 	if testing.Short() {
 		writes, growKeys = 4000, 800
 	}
-	m := newInlinePair(2) // tiny: every run crosses several migrations
-	const hotKeys = 16
+	const phases, hotKeys = 8, 16
+	m := newInlinePair(2) // tiny: the phases' Reserves grow it several times
 	var stop atomic.Bool
 	var torn atomic.Int64
-	var writers, readers sync.WaitGroup
+	var readers sync.WaitGroup
 
-	// Writers: each write keeps the invariant b == a*pairMagic.
-	for g := 0; g < p; g++ {
-		writers.Add(1)
-		go func(g int) {
-			defer writers.Done()
-			for i := 0; i < writes; i++ {
-				a := uint64(g)<<32 | uint64(i)
-				m.Store(i%hotKeys, pairVal{a, a * pairMagic})
-				m.Update((i+g)%hotKeys, func(old pairVal, ok bool) pairVal {
-					if ok && old.b != old.a*pairMagic {
-						torn.Add(1)
-					}
-					na := old.a + 1
-					return pairVal{na, na * pairMagic}
-				})
-			}
-		}(g)
-	}
-	// Growers: insert fresh keys so migrations run concurrently with the
-	// hot-key traffic above.
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for i := 0; i < growKeys; i++ {
-			a := uint64(1_000_000 + i)
-			m.Store(1000+i, pairVal{a, a * pairMagic})
-		}
-	}()
 	// Readers: every observed value must satisfy the invariant.
 	for g := 0; g < p; g++ {
 		readers.Add(1)
@@ -105,8 +77,39 @@ func TestInlineTornReadStress(t *testing.T) {
 			}
 		}()
 	}
-
-	writers.Wait()
+	for ph := 0; ph < phases; ph++ {
+		lo, hi := ph*growKeys/phases, (ph+1)*growKeys/phases
+		m.Reserve(hotKeys + hi - lo)
+		var writers sync.WaitGroup
+		// Writers: each write keeps the invariant b == a*pairMagic.
+		for g := 0; g < p; g++ {
+			writers.Add(1)
+			go func(g int) {
+				defer writers.Done()
+				for i := ph * writes / phases; i < (ph+1)*writes/phases; i++ {
+					a := uint64(g)<<32 | uint64(i)
+					m.Store(i%hotKeys, pairVal{a, a * pairMagic})
+					m.Update((i+g)%hotKeys, func(old pairVal, ok bool) pairVal {
+						if ok && old.b != old.a*pairMagic {
+							torn.Add(1)
+						}
+						na := old.a + 1
+						return pairVal{na, na * pairMagic}
+					})
+				}
+			}(g)
+		}
+		// Grower: fresh keys fill the room the phase's Reserve made.
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := lo; i < hi; i++ {
+				a := uint64(1_000_000 + i)
+				m.Store(1000+i, pairVal{a, a * pairMagic})
+			}
+		}()
+		writers.Wait()
+	}
 	stop.Store(true)
 	readers.Wait()
 	if n := torn.Load(); n != 0 {
@@ -154,13 +157,15 @@ func TestInlineWriteNoAlloc(t *testing.T) {
 	}
 }
 
-// TestInlineGrowth fills a tiny table far past several growths and checks
-// every key, including interleaved deletes (tombstones must not resurrect
-// across migrations).
+// TestInlineGrowth fills a tiny table far past several growths, one
+// Reserve per insert, and checks every key, including interleaved deletes:
+// tombstones must not resurrect, and a rehash drops them, so the grown
+// table claims only the live keys.
 func TestInlineGrowth(t *testing.T) {
 	m := newInlineInt(2)
 	const n = 5000
 	for i := 0; i < n; i++ {
+		m.Reserve(1)
 		m.Store(i, i*3)
 		if i%7 == 0 {
 			m.Delete(i / 2)
@@ -175,7 +180,7 @@ func TestInlineGrowth(t *testing.T) {
 			delete(want, i/2)
 		}
 	}
-	if got := m.Len(); got != len(want) {
+	if got := m.Snapshot().Len(); got != len(want) {
 		t.Fatalf("Len=%d want %d", got, len(want))
 	}
 	for k, w := range want {
@@ -183,37 +188,40 @@ func TestInlineGrowth(t *testing.T) {
 			t.Fatalf("key %d = (%d,%v), want %d", k, v, ok, w)
 		}
 	}
+	// Force one more rehash: only the live keys are claimed after it.
+	m.Reserve(int(m.cur.Load().limit))
+	if c := m.cur.Load().claims.Load(); c != int64(len(want)) {
+		t.Fatalf("claims after rehash = %d, want %d live keys", c, len(want))
+	}
+	for k, w := range want {
+		if v, ok := m.Load(k); !ok || v != w {
+			t.Fatalf("after rehash key %d = (%d,%v), want %d", k, v, ok, w)
+		}
+	}
 }
 
 // TestInlineUpdateExactlyOnce pins the callback contract the closest-pair
-// grids build on: Update and UpdateAndGet run their callback exactly once
-// per call, so a callback may push its op onto an intrusive per-key list
-// (next[i] = displaced head). The table starts at capacity 1 and keys keep
-// arriving throughout, so the pushes race several migrations; afterwards
-// every callback ran once and each key's list holds exactly its ops.
+// grids build on: Update runs its callback exactly once per call, so a
+// callback may push its op onto an intrusive per-key list (next[i] =
+// displaced head). Every worker pushes onto the same few hot cells, so the
+// pushes contend on the slot locks; afterwards every callback ran once and
+// each key's list holds exactly its ops.
 func TestInlineUpdateExactlyOnce(t *testing.T) {
-	const n, keys = 20000, 2048
-	m := NewLockFreeInline[int, int32](1, func(k int) uint64 { return Mix64(uint64(k)) },
+	const n, keys = 20000, 4
+	m := NewLockFreeInline[int, int32](keys, func(k int) uint64 { return Mix64(uint64(k)) },
 		EncInt32, DecInt32)
 	keyOf := func(i int) int { return int(Mix64(uint64(i)) % keys) }
 	calls := make([]atomic.Int32, n)
 	next := make([]int32, n)
-	push := func(i int32) func(int32, bool) int32 {
-		return func(head int32, ok bool) int32 {
+	parallel.For(0, n, func(i int) {
+		m.Update(keyOf(i), func(head int32, ok bool) int32 {
 			calls[i].Add(1)
 			if !ok {
 				head = -1
 			}
 			next[i] = head
-			return i
-		}
-	}
-	parallel.For(0, n, func(i int) {
-		if i%2 == 0 {
-			m.Update(keyOf(i), push(int32(i)))
-		} else if got := m.UpdateAndGet(keyOf(i), push(int32(i))); got != int32(i) {
-			t.Errorf("UpdateAndGet for op %d returned %d", i, got)
-		}
+			return int32(i)
+		})
 	})
 	for i := range calls {
 		if c := calls[i].Load(); c != 1 {

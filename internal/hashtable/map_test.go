@@ -9,29 +9,15 @@ package hashtable
 import "sync"
 
 // Table is the operation set the suites program against; Map and
-// LockFreeInline both implement it. The bulk operations Len/Range/Clear
-// are phase operations on LockFreeInline.
+// LockFreeInline both implement it. Sweeps go through Snapshot.
 type Table[K comparable, V any] interface {
 	Load(k K) (V, bool)
 	Store(k K, v V)
 	Delete(k K)
 	Update(k K, f func(old V, ok bool) V)
-	UpdateAndGet(k K, f func(old V, ok bool) V) V
-	LoadOrStore(k K, v V) (actual V, loaded bool)
-	Len() int
-	Range(f func(k K, v V) bool)
-	Clear()
-	// Flatten drives any in-flight cooperative migration to completion
-	// (phase operation: quiesce mutators first). Cancellation paths call
-	// it after abandoning a round mid-growth to prove the table is
-	// migration-free before reuse; a no-op on tables that never migrate.
-	Flatten()
-	// Epoch returns the table's current publication epoch (see epoch.go).
-	Epoch() uint64
-	// AdvanceEpoch flattens the table and bumps its epoch, reclaiming
-	// superseded slot arrays no open snapshot can reference. Phase
-	// operation; the round engine calls it at each committed boundary.
-	AdvanceEpoch() uint64
+	// Reserve makes room for more new keys before a phase that adds
+	// them (phase operation on LockFreeInline; a no-op on Map).
+	Reserve(more int)
 	// Snapshot opens a read-only view that stays torn-free and valid
 	// while mutators keep running; see Snap for the exact guarantees.
 	// O(1) on LockFreeInline, a frozen copy on Map.
@@ -46,7 +32,6 @@ var (
 // Map is a concurrent hash map sharded by key hash. The zero value is not
 // usable; construct with New.
 type Map[K comparable, V any] struct {
-	epochCore
 	shards []shard[K, V]
 	mask   uint64
 	hash   Hasher[K]
@@ -123,31 +108,6 @@ func (m *Map[K, V]) Update(k K, f func(old V, ok bool) V) {
 	s.mu.Unlock()
 }
 
-// UpdateAndGet is Update returning the stored value.
-func (m *Map[K, V]) UpdateAndGet(k K, f func(old V, ok bool) V) V {
-	s := m.shardFor(k)
-	s.mu.Lock()
-	old, ok := s.m[k]
-	v := f(old, ok)
-	s.m[k] = v
-	s.mu.Unlock()
-	return v
-}
-
-// LoadOrStore returns the existing value for k if present; otherwise it
-// stores and returns v. loaded is true if the value was already present.
-func (m *Map[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
-	s := m.shardFor(k)
-	s.mu.Lock()
-	if old, ok := s.m[k]; ok {
-		s.mu.Unlock()
-		return old, true
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-	return v, false
-}
-
 // Len returns the total number of entries (taking each shard lock briefly).
 func (m *Map[K, V]) Len() int {
 	n := 0
@@ -181,18 +141,8 @@ func (m *Map[K, V]) Range(f func(k K, v V) bool) {
 	}
 }
 
-// Flatten is a no-op: the sharded map has no migration to complete.
-func (m *Map[K, V]) Flatten() {}
-
-// Clear removes all entries, retaining shard maps.
-func (m *Map[K, V]) Clear() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.mu.Unlock()
-	}
-}
+// Reserve is a no-op: Go maps grow on their own.
+func (m *Map[K, V]) Reserve(int) {}
 
 // mapSnap is Map's snapshot: a materialized copy taken shard by shard
 // under the shard locks. The sharded map mutates values in place with no
@@ -201,7 +151,6 @@ func (m *Map[K, V]) Clear() {
 // trivially frozen). Copying is O(n); take Map snapshots at quiesced
 // boundaries, as with any Map-wide sweep.
 type mapSnap[K comparable, V any] struct {
-	snapRef
 	m map[K]V
 }
 
@@ -210,7 +159,6 @@ type mapSnap[K comparable, V any] struct {
 // from a quiesced boundary (the round protocol does).
 func (m *Map[K, V]) Snapshot() Snap[K, V] {
 	s := &mapSnap[K, V]{m: make(map[K]V, m.Len())}
-	s.ec, s.epoch = &m.epochCore, m.epochCore.register()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -237,7 +185,3 @@ func (s *mapSnap[K, V]) Range(f func(k K, v V) bool) {
 		}
 	}
 }
-
-// AdvanceEpoch bumps the map's epoch (no migration to flatten) and
-// reclaims unreferenced snapshots' pins.
-func (m *Map[K, V]) AdvanceEpoch() uint64 { return m.epochCore.advance() }

@@ -4,8 +4,9 @@ package hashtable
 // against a plain Go map (the oracle), the sharded Map, and LockFreeInline,
 // asserting identical observable behavior op by op — the testing
 // discipline of the RunType2Seq equivalence suite applied to the table.
-// Table capacities are chosen tiny so the lock-free replays cross several
-// forced resizes.
+// Table capacities are chosen tiny, and every op that may add keys is its
+// own phase with a Reserve in front, so the lock-free replays cross
+// several growths.
 
 import (
 	"fmt"
@@ -20,7 +21,6 @@ const (
 	opLoad
 	opDelete
 	opUpdate
-	opLoadOrStore
 	opGrowBurst // bulk insert to force a resize mid-stream
 	numOps
 )
@@ -31,6 +31,7 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 	t.Helper()
 	switch op {
 	case opStore:
+		tab.Reserve(1)
 		tab.Store(key, val)
 		oracle[key] = val
 	case opLoad:
@@ -44,6 +45,7 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 		delete(oracle, key)
 	case opUpdate:
 		// Update semantics: absent -> val, present -> old+val.
+		tab.Reserve(1)
 		tab.Update(key, func(old int, ok bool) int {
 			if !ok {
 				return val
@@ -55,22 +57,8 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 		} else {
 			oracle[key] = val
 		}
-	case opLoadOrStore:
-		got, loaded := tab.LoadOrStore(key, val)
-		want, wok := oracle[key]
-		if loaded != wok {
-			t.Fatalf("%s step %d: LoadOrStore(%d) loaded=%v, oracle present=%v", impl, step, key, loaded, wok)
-		}
-		if loaded && got != want {
-			t.Fatalf("%s step %d: LoadOrStore(%d) = %d, oracle %d", impl, step, key, got, want)
-		}
-		if !loaded {
-			if got != val {
-				t.Fatalf("%s step %d: LoadOrStore(%d) stored %d, want %d", impl, step, key, got, val)
-			}
-			oracle[key] = val
-		}
 	case opGrowBurst:
+		tab.Reserve(64)
 		for i := 0; i < 64; i++ {
 			k := key + i
 			tab.Store(k, k^val)
@@ -79,15 +67,16 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 	}
 }
 
-// checkContents asserts a Table's full contents match the oracle, via both
-// Range and Len and per-key Loads.
+// checkContents asserts a Table's full contents match the oracle, via a
+// snapshot's Range and Len and per-key Loads.
 func checkContents(t *testing.T, impl string, tab Table[int, int], oracle map[int]int) {
 	t.Helper()
-	if got := tab.Len(); got != len(oracle) {
+	s := tab.Snapshot()
+	if got := s.Len(); got != len(oracle) {
 		t.Fatalf("%s: Len=%d oracle=%d", impl, got, len(oracle))
 	}
 	seen := map[int]int{}
-	tab.Range(func(k, v int) bool {
+	s.Range(func(k, v int) bool {
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("%s: Range yielded key %d twice (%d, %d)", impl, k, prev, v)
 		}
@@ -109,7 +98,7 @@ func checkContents(t *testing.T, impl string, tab Table[int, int], oracle map[in
 
 // TestOracleEquivalence replays randomized streams over several key-space
 // widths and initial capacities. Small key spaces stress Update/Delete
-// interleavings; wide ones with grow bursts stress resize.
+// interleavings; wide ones with grow bursts stress Reserve's rehash.
 func TestOracleEquivalence(t *testing.T) {
 	impls := func() map[string]Table[int, int] {
 		hash := func(k int) uint64 { return Mix64(uint64(k)) }
@@ -159,6 +148,7 @@ func TestOracleImplsAgree(t *testing.T) {
 		val := int(r.Uint64() % 1000)
 		switch op {
 		case opStore:
+			b.Reserve(1)
 			a.Store(key, val)
 			b.Store(key, val)
 		case opLoad:
@@ -176,23 +166,23 @@ func TestOracleImplsAgree(t *testing.T) {
 				}
 				return old*3 + val
 			}
-			if av, bv := a.UpdateAndGet(key, f), b.UpdateAndGet(key, f); av != bv {
-				t.Fatalf("step %d: UpdateAndGet(%d) sharded %d inline %d", step, key, av, bv)
-			}
-		case opLoadOrStore:
-			av, al := a.LoadOrStore(key, val)
-			if bv, bl := b.LoadOrStore(key, val); av != bv || al != bl {
-				t.Fatalf("step %d: LoadOrStore(%d) sharded (%d,%v) inline (%d,%v)", step, key, av, al, bv, bl)
+			b.Reserve(1)
+			a.Update(key, f)
+			b.Update(key, f)
+			av, _ := a.Load(key)
+			if bv, _ := b.Load(key); av != bv {
+				t.Fatalf("step %d: Update(%d) sharded %d inline %d", step, key, av, bv)
 			}
 		case opGrowBurst:
+			b.Reserve(64)
 			for i := 0; i < 64; i++ {
 				a.Store(key+i, i)
 				b.Store(key+i, i)
 			}
 		}
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("final Len: sharded %d inline %d", a.Len(), b.Len())
+	if an, bn := a.Len(), b.Snapshot().Len(); an != bn {
+		t.Fatalf("final Len: sharded %d inline %d", an, bn)
 	}
 	a.Range(func(k, v int) bool {
 		if bv, ok := b.Load(k); !ok || bv != v {

@@ -1,12 +1,11 @@
 package hashtable
 
-// Tests for the epoch/snapshot layer (epoch.go): LockFreeInline snapshot
+// Tests for the snapshot layer (snap.go): LockFreeInline snapshot
 // semantics against the frozen mapSnap oracle, the regular-read guarantee,
-// deferred reclamation of superseded slot arrays, the round-prefix
-// completeness of boundary snapshots, the torn-read pins for the
-// seqlock-validated Range/Len/snapshot paths, and the ridtdebug
-// phase-violation detector. The storm tests are run under -race by the CI
-// race job.
+// snapshots across a growing Reserve, the round-prefix completeness of
+// boundary snapshots, the torn-read pins for the seqlock-validated
+// snapshot sweeps, and the ridtdebug phase-violation detector. The storm
+// tests are run under -race by the CI race job.
 
 import (
 	"runtime"
@@ -26,29 +25,24 @@ func snapImpls() map[string]func() Table[int, int] {
 	}
 }
 
-// TestSnapshotQuiesced: a snapshot taken at a quiesced epoch boundary
-// holds exactly the committed contents — Load, Len, and Range all agree
-// with the oracle, for the table and the Map oracle. The insert count is chosen
-// to force several migrations first, so the pinned root is a flattened
-// table that absorbed forwarding.
+// TestSnapshotQuiesced: a snapshot taken at a quiesced boundary holds
+// exactly the committed contents — Load, Len, and Range all agree with
+// the oracle, for the table and the Map oracle. The inserts run in
+// phases behind growing Reserves, so the pinned root is a rehashed table.
 func TestSnapshotQuiesced(t *testing.T) {
 	const n = 3000
 	for name, mk := range snapImpls() {
 		t.Run(name, func(t *testing.T) {
 			h := mk()
-			for i := 0; i < n; i++ {
-				h.Store(i, i*3)
+			for lo := 0; lo < n; lo += n / 6 {
+				h.Reserve(n / 6)
+				for i := lo; i < lo+n/6; i++ {
+					h.Store(i, i*3)
+				}
 			}
 			h.Delete(17)
 			h.Delete(n - 1)
-			if e := h.AdvanceEpoch(); e != 1 {
-				t.Fatalf("AdvanceEpoch = %d, want 1", e)
-			}
 			s := h.Snapshot()
-			defer s.Close()
-			if s.Epoch() != 1 {
-				t.Fatalf("snapshot epoch = %d, want 1", s.Epoch())
-			}
 			if got := s.Len(); got != n-2 {
 				t.Fatalf("snapshot Len = %d, want %d", got, n-2)
 			}
@@ -79,7 +73,6 @@ func TestSnapshotQuiesced(t *testing.T) {
 			if calls != 1 {
 				t.Fatalf("Range ignored early exit: %d calls", calls)
 			}
-			s.Close() // second Close below via defer: must be idempotent
 		})
 	}
 }
@@ -88,19 +81,17 @@ func TestSnapshotQuiesced(t *testing.T) {
 // snapshot, in-place overwrites MAY be visible through the lock-free
 // snapshot (the snapshot pins the array, not the values) but MUST be
 // one of the two committed values — while the Map snapshot, a frozen
-// copy, never sees them. Keys inserted after the snapshot into a grown
-// successor table are invisible to the pinned root.
+// copy, never sees them.
 func TestSnapshotRegularReads(t *testing.T) {
 	for name, mk := range snapImpls() {
 		t.Run(name, func(t *testing.T) {
 			h := mk()
 			const n = 100
+			h.Reserve(n)
 			for i := 0; i < n; i++ {
 				h.Store(i, 1)
 			}
-			h.AdvanceEpoch()
 			s := h.Snapshot()
-			defer s.Close()
 			for i := 0; i < n; i++ {
 				h.Store(i, 2)
 			}
@@ -121,11 +112,11 @@ func TestSnapshotRegularReads(t *testing.T) {
 	}
 }
 
-// TestSnapshotTornReadStorm is the serve-side half of the satellite
-// torn-read fix: snapshot Load/Range/Len on the inline table go through
-// the validated seqlock read, so a reader storming alongside two-word
-// writers never observes a half-written value — including reads through
-// frozen (moved) slots while migrations run underneath. -race covered.
+// TestSnapshotTornReadStorm: snapshot Load/Range/Len on the inline table
+// go through the validated seqlock read, so a reader storming alongside
+// two-word writers never observes a half-written value. The writes run in
+// phases with a growing Reserve at every boundary, so readers also open
+// snapshots on roots that a later Reserve retires. -race covered.
 func TestSnapshotTornReadStorm(t *testing.T) {
 	p := runtime.GOMAXPROCS(0)
 	if p < 4 {
@@ -135,30 +126,12 @@ func TestSnapshotTornReadStorm(t *testing.T) {
 	if testing.Short() {
 		writes, growKeys = 4000, 800
 	}
-	m := newInlinePair(2) // tiny: the run crosses several migrations
-	const hotKeys = 16
+	const phases, hotKeys = 8, 16
+	m := newInlinePair(2) // tiny: the phases' Reserves grow it several times
 	var stop atomic.Bool
 	var torn atomic.Int64
-	var writers, readers sync.WaitGroup
+	var readers sync.WaitGroup
 
-	for g := 0; g < p; g++ {
-		writers.Add(1)
-		go func(seed uint64) {
-			defer writers.Done()
-			r := rng.New(seed)
-			for i := 0; i < writes; i++ {
-				a := r.Uint64() | 1
-				m.Store(int(r.Uint64()%hotKeys), pairVal{a, a * pairMagic})
-			}
-		}(uint64(g)*77 + 1)
-	}
-	writers.Add(1)
-	go func() { // migration pressure: fresh keys grow the table
-		defer writers.Done()
-		for i := 0; i < growKeys; i++ {
-			m.Store(hotKeys+i, pairVal{uint64(i) | 1, (uint64(i) | 1) * pairMagic})
-		}
-	}()
 	check := func(v pairVal) {
 		if v.b != v.a*pairMagic {
 			torn.Add(1)
@@ -178,11 +151,33 @@ func TestSnapshotTornReadStorm(t *testing.T) {
 				}
 				s.Range(func(_ int, v pairVal) bool { check(v); return true })
 				_ = s.Len()
-				s.Close()
 			}
 		}(uint64(g)*991 + 5)
 	}
-	writers.Wait()
+	for ph := 0; ph < phases; ph++ {
+		lo, hi := ph*growKeys/phases, (ph+1)*growKeys/phases
+		m.Reserve(hotKeys + hi - lo)
+		var writers sync.WaitGroup
+		for g := 0; g < p; g++ {
+			writers.Add(1)
+			go func(seed uint64) {
+				defer writers.Done()
+				r := rng.New(seed)
+				for i := 0; i < writes/phases; i++ {
+					a := r.Uint64() | 1
+					m.Store(int(r.Uint64()%hotKeys), pairVal{a, a * pairMagic})
+				}
+			}(uint64(ph*p+g)*77 + 1)
+		}
+		writers.Add(1)
+		go func() { // fresh keys fill the room the phase's Reserve made
+			defer writers.Done()
+			for i := lo; i < hi; i++ {
+				m.Store(hotKeys+i, pairVal{uint64(i) | 1, (uint64(i) | 1) * pairMagic})
+			}
+		}()
+		writers.Wait()
+	}
 	stop.Store(true)
 	readers.Wait()
 	if n := torn.Load(); n != 0 {
@@ -190,17 +185,12 @@ func TestSnapshotTornReadStorm(t *testing.T) {
 	}
 }
 
-// TestInlineRangeLenTornFree pins the satellite bugfix directly: the
-// table-level Range and Len used to load the two value words raw; they
-// now go through the validated seqlock read, so even when the phase
-// contract is (incorrectly) violated by running them against a writer
-// storm, every value they observe is a committed pair — the results are
-// merely unordered, never torn. The test deliberately commits that
-// violation, so it is skipped under the ridtdebug detector.
+// TestInlineRangeLenTornFree pins the snapshot sweep, the table's only
+// one, against pure in-place overwrites: writers storm a fixed hot set
+// (no growth, so every write lands in the swept slots) while readers
+// sweep fresh snapshots with Range and Len. Every value a sweep observes
+// must be a committed pair, and Len can never leave the hot set's size.
 func TestInlineRangeLenTornFree(t *testing.T) {
-	if debugPhase {
-		t.Skip("deliberately violates the phase contract to pin torn-free reads; detector build would panic")
-	}
 	p := runtime.GOMAXPROCS(0)
 	if p < 2 {
 		p = 2
@@ -210,7 +200,7 @@ func TestInlineRangeLenTornFree(t *testing.T) {
 		writes = 6000
 	}
 	const hotKeys = 16
-	m := newInlinePair(64) // room for the hot set: no migration, pure in-place overwrites
+	m := newInlinePair(64) // room for the hot set: pure in-place overwrites
 	for k := 0; k < hotKeys; k++ {
 		m.Store(k, pairVal{1, pairMagic})
 	}
@@ -233,13 +223,14 @@ func TestInlineRangeLenTornFree(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for !stop.Load() {
-				m.Range(func(_ int, v pairVal) bool {
+				s := m.Snapshot()
+				s.Range(func(_ int, v pairVal) bool {
 					if v.b != v.a*pairMagic {
 						torn.Add(1)
 					}
 					return true
 				})
-				if n := m.Len(); n < 0 || n > hotKeys {
+				if n := s.Len(); n != hotKeys {
 					torn.Add(1)
 				}
 			}
@@ -255,12 +246,13 @@ func TestInlineRangeLenTornFree(t *testing.T) {
 
 // TestSnapshotRoundPrefix is the table half of the linearizable-snapshot
 // stress: a writer runs insert-only rounds, stamping each value with its
-// round number and calling AdvanceEpoch at each boundary, while readers
-// snapshot concurrently and assert the prefix property — a snapshot at
-// epoch e contains EVERY key of rounds <= e (boundary flatten makes the
-// pinned root complete) with exactly its stamped value (insert-only, so
-// in-place visibility cannot alter it), and any keys of rounds > e it
-// happens to expose are ignored by stamp filtering.
+// round number, reserving room for the next round at each boundary and
+// then publishing the committed round count, while readers read the count,
+// open a snapshot and assert the prefix property — the snapshot contains
+// EVERY key of rounds <= e (a Reserve between the rounds rehashes every
+// committed key into the new root) with exactly its stamped value
+// (insert-only, so in-place visibility cannot alter it); keys of rounds
+// > e it happens to expose are ignored by stamp filtering.
 func TestSnapshotRoundPrefix(t *testing.T) {
 	rounds, perRound := 40, 100
 	if testing.Short() {
@@ -268,6 +260,7 @@ func TestSnapshotRoundPrefix(t *testing.T) {
 	}
 	t.Run("inline", func(t *testing.T) {
 		h := newInlineInt(4)
+		var committed atomic.Int64
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		fail := make(chan string, 1)
@@ -282,42 +275,39 @@ func TestSnapshotRoundPrefix(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for !stop.Load() {
+					e := int(committed.Load())
 					s := h.Snapshot()
-					e := s.Epoch()
 					// Completeness + exactness over the committed prefix.
-					for r := uint64(1); r <= e; r++ {
-						base := (int(r) - 1) * perRound
+					for r := 1; r <= e; r++ {
+						base := (r - 1) * perRound
 						for i := 0; i < perRound; i += 7 {
 							v, ok := s.Load(base + i)
-							if !ok || uint64(v) != r {
+							if !ok || v != r {
 								report("snapshot missed committed key")
-								s.Close()
 								return
 							}
 						}
 					}
 					n := 0
 					s.Range(func(k, v int) bool {
-						if uint64(v) <= e {
+						if v <= e {
 							n++
 						}
 						return true
 					})
-					if n != int(e)*perRound {
+					if n != e*perRound {
 						report("prefix count mismatch in Range")
 					}
-					s.Close()
 				}
 			}()
 		}
 		for r := 1; r <= rounds; r++ {
+			h.Reserve(perRound)
 			base := (r - 1) * perRound
 			for i := 0; i < perRound; i++ {
 				h.Store(base+i, r)
 			}
-			if got := h.AdvanceEpoch(); got != uint64(r) {
-				t.Fatalf("AdvanceEpoch = %d, want %d", got, r)
-			}
+			committed.Store(int64(r))
 		}
 		stop.Store(true)
 		wg.Wait()
@@ -329,49 +319,52 @@ func TestSnapshotRoundPrefix(t *testing.T) {
 	})
 }
 
-// TestDeferredReclamation observes the registry directly: a superseded
-// root stays parked while a snapshot from its era is open, and is
-// dropped once the snapshot closes and the epoch passes it.
-func TestDeferredReclamation(t *testing.T) {
-	t.Run("inline", func(t *testing.T) {
-		h := newInlineInt(2)
-		for i := 0; i < 16; i++ {
-			h.Store(i, i)
+// TestSnapshotAcrossReserve: a growing Reserve swaps the root, so a
+// snapshot opened before it keeps answering the pre-growth state — writes
+// after the swap land in the new table only — while one opened after sees
+// the same live contents as the table.
+func TestSnapshotAcrossReserve(t *testing.T) {
+	h := newInlineInt(64)
+	for i := 0; i < 64; i++ {
+		h.Store(i, i)
+	}
+	h.Delete(5)
+	before := h.Snapshot()
+	h.Reserve(1000)
+	after := h.Snapshot()
+	h.Store(0, -1)   // overwrite after the swap
+	h.Store(500, 50) // new key after the swap
+	h.Delete(6)      // delete after the swap
+
+	if n := before.Len(); n != 63 {
+		t.Fatalf("pre-growth snapshot Len = %d, want 63", n)
+	}
+	for i := 0; i < 64; i++ {
+		v, ok := before.Load(i)
+		if ok != (i != 5) || (ok && v != i) {
+			t.Fatalf("pre-growth snapshot Load(%d) = (%d,%v)", i, v, ok)
 		}
-		h.AdvanceEpoch()
-		s := h.Snapshot()
-		for i := 16; i < 2000; i++ { // force growth past the pinned root
-			h.Store(i, i)
+	}
+	if _, ok := before.Load(500); ok {
+		t.Fatal("pre-growth snapshot sees a key stored after the growth")
+	}
+
+	// The post-growth snapshot pins the live table: it agrees with the
+	// table's own loads key by key, and counts what they find.
+	want := 0
+	for i := 0; i < 1000; i++ {
+		v, ok := h.Load(i)
+		sv, sok := after.Load(i)
+		if ok != sok || v != sv {
+			t.Fatalf("post-growth snapshot Load(%d) = (%d,%v), table (%d,%v)", i, sv, sok, v, ok)
 		}
-		h.Flatten()
-		if h.retiredCount() == 0 {
-			t.Fatal("growth under an open snapshot retired nothing")
+		if ok {
+			want++
 		}
-		// The pinned view still serves its era's keys.
-		for i := 0; i < 16; i++ {
-			if v, ok := s.Load(i); !ok || v != i {
-				t.Fatalf("pinned snapshot lost key %d", i)
-			}
-		}
-		h.AdvanceEpoch() // boundary passes the retire epoch; snapshot still pins
-		if h.retiredCount() == 0 {
-			t.Fatal("retired table reclaimed while its snapshot was open")
-		}
-		s.Close()
-		h.AdvanceEpoch()
-		if n := h.retiredCount(); n != 0 {
-			t.Fatalf("retiredCount = %d after close+advance, want 0", n)
-		}
-		// Clear also retires, and reclaims on the next boundary.
-		h.Clear()
-		if h.retiredCount() == 0 {
-			t.Fatal("Clear did not retire the old root")
-		}
-		h.AdvanceEpoch()
-		if n := h.retiredCount(); n != 0 {
-			t.Fatalf("retiredCount = %d after Clear+advance, want 0", n)
-		}
-	})
+	}
+	if n := after.Len(); n != want || want != 63 {
+		t.Fatalf("post-growth snapshot Len = %d, table holds %d (want 63)", n, want)
+	}
 }
 
 // TestSnapshotLoadAllocs pins the zero-alloc serve path: snapshot Load
@@ -381,12 +374,11 @@ func TestSnapshotLoadAllocs(t *testing.T) {
 	for name, mk := range snapImpls() {
 		t.Run(name, func(t *testing.T) {
 			h := mk()
+			h.Reserve(500)
 			for i := 0; i < 500; i++ {
 				h.Store(i, i)
 			}
-			h.AdvanceEpoch()
 			s := h.Snapshot()
-			defer s.Close()
 			k := 0
 			if avg := testing.AllocsPerRun(200, func() {
 				_, _ = s.Load(k)
@@ -399,8 +391,8 @@ func TestSnapshotLoadAllocs(t *testing.T) {
 }
 
 // TestPhaseViolationDetector asserts the ridtdebug detector fires: with
-// a mutator registered as in flight, any phase operation must panic. In
-// default builds the detector is compiled out and the test skips.
+// a mutator registered as in flight, Reserve must panic. In default
+// builds the detector is compiled out and the test skips.
 func TestPhaseViolationDetector(t *testing.T) {
 	if !debugPhase {
 		t.Skip("phase detector compiled out; run with -tags ridtdebug")
@@ -411,21 +403,14 @@ func TestPhaseViolationDetector(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Len with a mutator in flight did not panic")
+				t.Error("Reserve with a mutator in flight did not panic")
 			}
 		}()
-		h.Len()
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AdvanceEpoch with a mutator in flight did not panic")
-			}
-		}()
-		h.AdvanceEpoch()
+		h.Reserve(100)
 	}()
 	h.muts.Add(-1)
-	if h.Len() != 1 { // quiesced again: phase ops run fine
-		t.Error("Len wrong after quiesce")
+	h.Reserve(100) // quiesced again: the phase operation runs fine
+	if v, ok := h.Load(1); !ok || v != 1 {
+		t.Errorf("Load(1) = (%d,%v) after Reserve", v, ok)
 	}
 }

@@ -23,9 +23,7 @@ func BenchmarkSnapshotReadLoad(b *testing.B) {
 			for k := 0; k < benchN; k++ {
 				m.Store(uint64(k), int64(k))
 			}
-			m.AdvanceEpoch()
 			s := m.Snapshot()
-			defer s.Close()
 			b.ResetTimer()
 			var sink atomic.Int64
 			for i := 0; i < b.N; i++ {
@@ -56,9 +54,7 @@ func BenchmarkSnapshotReadUnderWrites(b *testing.B) {
 		for k := 0; k < benchN; k++ {
 			m.Store(uint64(k), int64(k))
 		}
-		m.AdvanceEpoch()
 		s := m.Snapshot()
-		defer s.Close()
 		var stop atomic.Bool
 		done := make(chan struct{})
 		go func() {
@@ -93,9 +89,7 @@ func BenchmarkSnapshotReadRange(b *testing.B) {
 			for k := 0; k < benchN; k++ {
 				m.Store(uint64(k), int64(k))
 			}
-			m.AdvanceEpoch()
 			s := m.Snapshot()
-			defer s.Close()
 			b.ResetTimer()
 			var sink int64
 			for i := 0; i < b.N; i++ {
@@ -108,9 +102,12 @@ func BenchmarkSnapshotReadRange(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotOpen prices Snapshot+Close itself: O(1) pin/unpin on
-// the lock-free table, an O(n) frozen copy on the sharded map (the honest
-// cost of its oracle-grade semantics).
+// snapSink keeps BenchmarkSnapshotOpen's snapshots observable.
+var snapSink Snap[uint64, int64]
+
+// BenchmarkSnapshotOpen prices Snapshot itself: an O(1) pin on the
+// lock-free table, an O(n) frozen copy on the sharded map (the honest cost
+// of its oracle-grade semantics).
 func BenchmarkSnapshotOpen(b *testing.B) {
 	for name, mk := range benchTables(benchN) {
 		b.Run("impl="+name, func(b *testing.B) {
@@ -118,10 +115,9 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 			for k := 0; k < benchN; k++ {
 				m.Store(uint64(k), int64(k))
 			}
-			m.AdvanceEpoch()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Snapshot().Close()
+				snapSink = m.Snapshot()
 			}
 		})
 	}

@@ -54,9 +54,10 @@ func TestInlineStressPhases(t *testing.T) {
 	if testing.Short() {
 		perG, incs = 400, 100
 	}
-	// Start tiny so phase 1 forces several cooperative migrations under
-	// full contention.
+	// Start tiny and grow at the first phase boundary: the Reserve sizes
+	// the table for every key phase 1 adds.
 	m := newInlineInt(2)
+	m.Reserve(p*perG + shared)
 	bar := newBarrier(p)
 	var wg sync.WaitGroup
 	errs := make(chan string, p)
@@ -66,7 +67,7 @@ func TestInlineStressPhases(t *testing.T) {
 			defer wg.Done()
 			// Phase 1: disjoint inserts (goroutine g owns keys g*perG..).
 			// All goroutines also increment a small shared counter space,
-			// so growth migrations race with both claims and updates.
+			// so claims race with updates.
 			for i := 0; i < perG; i++ {
 				k := g*perG + i
 				m.Store(k, k+1)
@@ -108,7 +109,7 @@ func TestInlineStressPhases(t *testing.T) {
 	// counters at p*incs/shared increments each.
 	n := p * perG
 	wantLen := n/2 + shared
-	if got := m.Len(); got != wantLen {
+	if got := m.Snapshot().Len(); got != wantLen {
 		t.Fatalf("Len=%d want %d", got, wantLen)
 	}
 	for k := 0; k < n; k++ {

@@ -53,7 +53,6 @@ func Sequential(g *graph.Graph) (Lists, Stats) {
 		delta[i] = math.Inf(1)
 	}
 	lists := make(Lists, n)
-	perVert := make([]int32, n)
 	for i := 0; i < n; i++ {
 		visits, work := graph.PrunedSearch(g, i, func(u int) float64 { return delta[u] })
 		st.SearchWork += work
@@ -61,13 +60,11 @@ func Sequential(g *graph.Graph) (Lists, Stats) {
 		for _, v := range visits {
 			delta[v.Target] = v.Dist
 			lists[v.Target] = append(lists[v.Target], Entry{V: int32(i), Dist: v.Dist})
-			perVert[v.Target]++
 		}
 	}
-	for _, c := range perVert {
-		if int(c) > st.MaxPerVert {
-			st.MaxPerVert = int(c)
-		}
+	// Each visit appended one entry, so a vertex's visits are its list.
+	for _, l := range lists {
+		st.MaxPerVert = max(st.MaxPerVert, len(l))
 	}
 	return lists, st
 }
