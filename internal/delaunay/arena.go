@@ -11,11 +11,12 @@ import (
 // in place, so steady-state rounds allocate O(1) — only the scheduler's
 // per-loop task state and the occasional capacity growth while the
 // largest round is still being discovered. The per-triangle encroacher
-// lists are carved from per-block chunked sub-arenas (i32arena) instead
-// of one make per triangle; those lists outlive the round (a triangle's E
-// is read when it is ripped, rounds later), so the E arenas are
-// append-only for the run and cost one chunk allocation per ~8K entries
-// rather than one per triangle.
+// lists of both engines are carved from chunked arenas (i32arena; one per
+// parallel block here, one for the whole run in Triangulate) instead of
+// one make per triangle; those lists outlive the round (a triangle's E is
+// read when it is ripped, rounds later), so the E arenas are append-only
+// for the run and cost one chunk allocation per ~8K entries rather than
+// one per triangle.
 
 // i32chunk is the allocation unit of an i32arena: large enough to
 // amortize the make, small enough that a mostly-idle block does not pin

@@ -76,17 +76,17 @@ func CheckFact41(pts []geom.Point, f [2]geom.Point, u, uo, v geom.Point) error {
 		return tri
 	}
 	t, to, tp := mk(u), mk(uo), mk(v)
-	enc := func(tri [3]geom.Point, p geom.Point) bool {
+	encroaches := func(tri [3]geom.Point, p geom.Point) bool {
 		return geom.InCircle(tri[0], tri[1], tri[2], p) > 0
 	}
-	if !enc(t, v) || enc(to, v) {
+	if !encroaches(t, v) || encroaches(to, v) {
 		return fmt.Errorf("precondition violated: v must encroach t but not to")
 	}
 	for _, p := range pts {
 		if p == v {
 			continue
 		}
-		inT, inTo, inTp := enc(t, p), enc(to, p), enc(tp, p)
+		inT, inTo, inTp := encroaches(t, p), encroaches(to, p), encroaches(tp, p)
 		if inT && inTo && !inTp {
 			return fmt.Errorf("point %v in E(t)∩E(to) but not in E(t')", p)
 		}

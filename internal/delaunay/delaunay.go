@@ -9,7 +9,10 @@
 // from face f and attach the new triangle t' = (f, v), computing E(t') from
 // E(t) and E(to) by Fact 4.1. The sequential and parallel versions perform
 // exactly the same multiset of ReplaceBoundary calls (Lemma 4.2), so their
-// outputs are identical; only the schedule differs.
+// outputs are identical; only the schedule differs. Both run on one store:
+// every triangle is created by store.replaceBoundary, with E(t') carved
+// from an append-only i32arena, and no triangle is written after its
+// creation, so both return store.finish()'s mesh.
 //
 // The bounding "triangle at infinity" t_b is realized as a finite triangle
 // far outside the input (geom.BoundingTriangle); with exact predicates this
@@ -72,13 +75,19 @@ func (s *store) isBoundingEdge(k uint64) bool {
 	return int(a) >= s.n && int(b) >= s.n
 }
 
+// logCap is the initial capacity of the triangle log of a run over n
+// points: the run creates O(n) triangles (Theorem 4.5's accounting), so
+// the log's appends rarely regrow it.
+func logCap(n int) int { return 4*n + 16 }
+
 func newStore(pts []geom.Point) *store {
 	n := len(pts)
 	a, b, c := geom.BoundingTriangle(pts)
 	all := make([]geom.Point, n, n+3)
 	copy(all, pts)
 	all = append(all, a, b, c)
-	s := &store{pts: all, n: n, pred: &geom.PredicateStats{}}
+	s := &store{pts: all, n: n, pred: &geom.PredicateStats{},
+		tris: make([]Tri, 0, logCap(n)), depth: make([]int32, 0, logCap(n))}
 	// The bounding triangle t_b encroaches on every input point.
 	e := make([]int32, n)
 	for i := range e {
@@ -114,8 +123,8 @@ func (s *store) minE(t int32) int32 {
 // to == NoTri (hull face of t_b) means all candidates come from E(t).
 // out is the destination for the encroacher list; it must be empty with
 // capacity at least len(E(t))+len(E(to)) so the appends below never
-// reallocate — which is what lets the round engine carve it from a
-// per-block arena.
+// reallocate — which is what lets replaceBoundary carve it from an
+// i32arena.
 func (s *store) newTriData(to int32, fk uint64, t int32, v int32, pred *geom.PredicateStats, out []int32) (tri Tri, tests int64) {
 	a, b := faceEnds(fk)
 	corners := [3]int32{a, b, v}
@@ -160,6 +169,32 @@ func (s *store) newTriData(to int32, fk uint64, t int32, v int32, pred *geom.Pre
 		}
 	}
 	return Tri{V: corners, E: out}, tests
+}
+
+// fire describes one ReplaceBoundary call: face fk is ripped from the t
+// side (whose earliest encroacher is the point being inserted) with to on
+// the other side (NoTri for hull faces of the bounding triangle).
+type fire struct {
+	fk    uint64
+	t, to int32
+}
+
+// replaceBoundary computes ReplaceBoundary(f.to, f.fk, f.t, v)'s new
+// triangle and its dependence depth, carving the encroacher list from ea.
+// It only reads the store; both engines create every triangle through it
+// and append the result to the log themselves.
+//
+//ridt:noalloc
+func (s *store) replaceBoundary(f fire, v int32, pred *geom.PredicateStats, ea *i32arena) (tri Tri, depth int32, tests int64) {
+	need := len(s.tris[f.t].E)
+	depth = s.depth[f.t] + 1
+	if f.to != NoTri {
+		need += len(s.tris[f.to].E)
+		depth = max(depth, s.depth[f.to]+1)
+	}
+	tri, tests = s.newTriData(f.to, f.fk, f.t, v, pred, ea.take(need))
+	ea.commit(len(tri.E))
+	return tri, depth, tests
 }
 
 // Mesh is the final result of a triangulation run.
@@ -211,63 +246,51 @@ func (s *store) finish() *Mesh {
 // Triangulate runs the sequential incremental algorithm: points are
 // inserted in slice order (callers wanting the randomized guarantees pass
 // a pre-shuffled slice). Duplicate points must have been removed.
+//
+// It runs on the round engine's store: E lists come from an i32arena, and
+// every triangle is created by the shared replaceBoundary. An alive
+// triangle's E holds only uninserted points, so the cavity R(v) is exactly
+// the set of triangles with E(t)[0] == v, and each of them dies when v is
+// inserted. R(v) is read from an intrusive bucket per point (head, tail
+// and next triangle ids, in creation order, so the output order is the
+// one per-point lists gave); a neighbour across a cavity face is interior
+// iff its minE is v. No triangle is written after its creation, so the
+// mesh is s.finish()'s.
 func Triangulate(pts []geom.Point) *Mesh {
 	s := newStore(pts)
 	n := s.n
-	// enc[w] lists triangles whose E contains point w (lazily cleaned).
-	enc := make([][]int32, n)
-	for _, w := range s.tris[0].E {
-		enc[w] = append(enc[w], 0)
+	head := make([]int32, n) // first triangle of R(v), in creation order
+	tail := make([]int32, n) // last triangle of R(v); valid once head is set
+	for i := range head {
+		head[i] = NoTri
 	}
-	capHint := 4*n + 4
-	alive := make([]bool, 1, capHint)
-	alive[0] = true
-	// faces maps a face to its up-to-two incident triangles.
-	faces := make(map[uint64][2]int32, capHint)
+	next := make([]int32, 0, cap(s.tris)) // next triangle in its bucket
+	// faces maps a face to its up-to-two incident alive triangles.
+	faces := make(map[uint64][2]int32, 4*n+4)
 	tb := s.tris[0]
 	for e := 0; e < 3; e++ {
 		faces[faceKey(tb.V[e], tb.V[(e+1)%3])] = [2]int32{0, NoTri}
 	}
-	inR := make([]int32, 1, capHint) // stamp: iteration when triangle joined R
-	for i := range inR {
-		inR[i] = -1
-	}
-
-	addFace := func(fk uint64, t int32) {
-		e, ok := faces[fk]
-		if !ok {
-			faces[fk] = [2]int32{t, NoTri}
-			return
-		}
-		e[1] = t
-		faces[fk] = e
-	}
-	replaceInFace := func(fk uint64, old, nw int32) {
-		e := faces[fk]
-		if e[0] == old {
-			e[0] = nw
-		} else {
-			e[1] = nw
-		}
-		faces[fk] = e
-	}
-
+	ea := &i32arena{}
 	for v := int32(0); int(v) < n; v++ {
-		// R: live triangles encroached by v (each has min(E) == v).
-		var r []int32
-		for _, t := range enc[v] {
-			if alive[t] {
-				r = append(r, t)
-				inR[t] = v
+		// File the triangles the previous insertion created under their
+		// earliest encroachers. The ones this insertion creates encroach
+		// only on points after v, so R(v) is complete before it is walked.
+		for id := int32(len(next)); int(id) < len(s.tris); id++ {
+			next = append(next, NoTri)
+			if e := s.tris[id].E; len(e) > 0 {
+				if head[e[0]] == NoTri {
+					head[e[0]] = id
+				} else {
+					next[tail[e[0]]] = id
+				}
+				tail[e[0]] = id
 			}
 		}
-		// Boundary faces: a face of t in R whose other side is not in R.
-		type bf struct {
-			fk    uint64
-			t, to int32
-		}
-		var boundary []bf
-		for _, t := range r {
+		// ReplaceBoundary on every face of R(v) whose other side is not in
+		// R(v). The new faces all end at v, so they never alias a face of
+		// the cavity still to be read.
+		for t := head[v]; t != NoTri; t = next[t] {
 			tv := s.tris[t].V
 			for e := 0; e < 3; e++ {
 				fk := faceKey(tv[e], tv[(e+1)%3])
@@ -276,85 +299,43 @@ func Triangulate(pts []geom.Point) *Mesh {
 				if to == t {
 					to = ent[1]
 				}
-				if to != NoTri && !alive[to] {
+				if m := s.minE(to); m < v {
 					panic("delaunay: face entry references a detached triangle")
-				}
-				if to != NoTri && inR[to] == v {
-					continue // interior to the cavity
-				}
-				boundary = append(boundary, bf{fk, t, to})
-			}
-		}
-		// ReplaceBoundary on every boundary face.
-		for _, f := range boundary {
-			need := len(s.tris[f.t].E)
-			if f.to != NoTri {
-				need += len(s.tris[f.to].E)
-			}
-			tri, tests := s.newTriData(f.to, f.fk, f.t, v, s.pred, make([]int32, 0, need))
-			s.stats.InCircleTests += tests
-			id := int32(len(s.tris))
-			s.tris = append(s.tris, tri)
-			d := s.depth[f.t] + 1
-			if f.to != NoTri && s.depth[f.to]+1 > d {
-				d = s.depth[f.to] + 1
-			}
-			s.depth = append(s.depth, d)
-			alive = append(alive, true)
-			inR = append(inR, -1)
-			s.stats.TrianglesCreated++
-			for _, w := range tri.E {
-				enc[w] = append(enc[w], id)
-			}
-			// Update the face map: f now borders t' instead of t; the two
-			// new faces of t' gain t' as an incident triangle.
-			replaceInFace(f.fk, f.t, id)
-			a, b := faceEnds(f.fk)
-			addFace(faceKey(a, v), id)
-			addFace(faceKey(b, v), id)
-		}
-		// The cavity triangles die; remove them from interior faces.
-		for _, t := range r {
-			alive[t] = false
-			tv := s.tris[t].V
-			for e := 0; e < 3; e++ {
-				fk := faceKey(tv[e], tv[(e+1)%3])
-				ent, ok := faces[fk]
-				if !ok {
+				} else if m == v {
+					// Interior to the cavity: the face dies with R(v), once
+					// both of its triangles (bucketed in id order) read it.
+					if to < t {
+						delete(faces, fk)
+					}
 					continue
 				}
+				tri, d, tests := s.replaceBoundary(fire{fk, t, to}, v, s.pred, ea)
+				id := int32(len(s.tris))
+				s.tris = append(s.tris, tri)
+				s.depth = append(s.depth, d)
+				s.stats.InCircleTests += tests
+				s.stats.TrianglesCreated++
+				// fk now borders t' instead of t; the two new faces of t'
+				// gain t' as an incident triangle.
 				if ent[0] == t {
-					ent[0], ent[1] = ent[1], NoTri
-				} else if ent[1] == t {
-					ent[1] = NoTri
-				}
-				if ent[0] == NoTri && ent[1] == NoTri {
-					delete(faces, fk)
+					ent[0] = id
 				} else {
-					faces[fk] = ent
+					ent[1] = id
+				}
+				faces[fk] = ent
+				a, b := faceEnds(fk)
+				for _, nf := range [2]uint64{faceKey(a, v), faceKey(b, v)} {
+					if ne, ok := faces[nf]; ok {
+						ne[1] = id
+						faces[nf] = ne
+					} else {
+						faces[nf] = [2]int32{id, NoTri}
+					}
 				}
 			}
-			// nil, not [:0:0]: a zero-cap slice still holds its data
-			// pointer, so only nil actually frees the encroaching list.
-			s.tris[t].E = nil
 		}
 	}
-	// Ripped triangles had their E cleared above, so select final
-	// triangles by liveness rather than by empty E.
-	var final []Tri
-	for i := range s.tris {
-		if alive[i] && len(s.tris[i].E) == 0 {
-			final = append(final, s.tris[i])
-		}
-	}
-	maxDepth := int32(0)
-	for _, d := range s.depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	s.stats.DepDepth = int(maxDepth)
-	return &Mesh{Points: s.pts, N: s.n, Triangles: final, Stats: s.stats}
+	return s.finish()
 }
 
 // SortTriangles returns the triangles' corner triples in a canonical order

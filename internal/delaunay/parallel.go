@@ -60,14 +60,6 @@ func decFace(a, b uint64) faceEntry {
 	}
 }
 
-// fire describes one ReplaceBoundary scheduled for the current round: face
-// fk is ripped from the t side (whose earliest encroacher is the new point)
-// with to on the other side (NoTri for hull faces of the bounding triangle).
-type fire struct {
-	fk    uint64
-	t, to int32
-}
-
 // Grains of the cheap per-element phases; the heavy retriangulation phases
 // run at grain 1 (each fire's cost varies with local geometry, so the
 // stealing scheduler balances them).
@@ -106,26 +98,22 @@ type roundEngine struct {
 	boundaryHook func(stage int)
 }
 
+// newFaceMap returns the round engine's face map for a run over n points,
+// sized for at least the given number of faces. The face map is the hot
+// path: a lock-free table with seqlock inline value slots (see
+// hashtable/DESIGN.md), so the attachment storm of a round performs no
+// allocation. The identity hasher suffices: the table applies its own
+// finalizing Mix64 to spread packed face keys. The 8n+16 pre-size covers
+// the common case; step's per-round Reserve grows the table between rounds
+// if a workload overflows it.
+func newFaceMap(n, faces int) *hashtable.LockFreeInline[uint64, faceEntry] {
+	return hashtable.NewLockFreeInline[uint64, faceEntry](max(8*n+16, faces),
+		func(k uint64) uint64 { return k }, encFace, decFace)
+}
+
 func newRoundEngine(pts []geom.Point) *roundEngine {
 	s := newStore(pts)
-	// Reserve the triangle log up front: the run creates ~O(n) triangles
-	// (Theorem 4.5's accounting), so the append path almost never regrows.
-	if cap(s.tris) < 4*s.n+16 {
-		tris := make([]Tri, len(s.tris), 4*s.n+16)
-		copy(tris, s.tris)
-		s.tris = tris
-		depth := make([]int32, len(s.depth), 4*s.n+16)
-		copy(depth, s.depth)
-		s.depth = depth
-	}
-	// The face map is the hot path: a lock-free table with seqlock inline
-	// value slots (see hashtable/DESIGN.md), so the attachment storm of a
-	// round performs no allocation. The identity hasher suffices: the
-	// table applies its own finalizing Mix64 to spread packed face keys.
-	// Pre-sizing covers the common case; step's per-round Reserve grows
-	// the table between rounds if a workload overflows it.
-	faces := hashtable.NewLockFreeInline[uint64, faceEntry](8*len(pts)+16,
-		func(k uint64) uint64 { return k }, encFace, decFace)
+	faces := newFaceMap(s.n, 0)
 	e := &roundEngine{s: s, faces: faces, ar: newRoundArena()}
 	// Seed the map with the bounding triangle's three faces.
 	tb := s.tris[0]
@@ -163,14 +151,18 @@ func attachNewFace(faces *hashtable.LockFreeInline[uint64, faceEntry], fk2 uint6
 	})
 }
 
-// Boundary stages passed to a roundEngine's boundaryHook and matching the
-// DelaunayPhase fault-site hit points: the top of a round (nothing armed),
-// after Phase A (arenas advanced, rollback armed), and after Phase B (face
-// map touched).
+// Boundary stages passed to a roundEngine's boundaryHook. The first three
+// match the DelaunayPhase fault-site hit points: the top of a round
+// (nothing armed), after Phase A (arenas advanced, rollback armed), and
+// after Phase B (face map touched). stagePhaseB is passed once per fire
+// inside Phase B's loop, after the fire repoints its ripped face and
+// before it attaches its tent faces, so a panic there leaves the face map
+// partially installed.
 const (
 	stageRoundTop = iota
 	stagePostA
 	stagePostB
+	stagePhaseB
 )
 
 // step runs one round; it reports false (and does nothing further) when no
@@ -256,21 +248,9 @@ func (e *roundEngine) step() bool {
 		var local int64
 		for k := lo; k < hi; k++ {
 			f := fires[k]
-			v := s.minE(f.t)
-			need := len(s.tris[f.t].E)
-			if f.to != NoTri {
-				need += len(s.tris[f.to].E)
-			}
-			buf := ea.take(need)
-			tri, tc := s.newTriData(f.to, f.fk, f.t, v, pred, buf)
-			ea.commit(len(tri.E))
+			tri, d, tc := s.replaceBoundary(f, s.minE(f.t), pred, ea)
+			newTris[k], newDepth[k] = tri, d
 			local += tc
-			newTris[k] = tri
-			d := s.depth[f.t] + 1
-			if f.to != NoTri && s.depth[f.to]+1 > d {
-				d = s.depth[f.to] + 1
-			}
-			newDepth[k] = d
 		}
 		tests.Add(local)
 	})
@@ -288,14 +268,15 @@ func (e *roundEngine) step() bool {
 	// Phase B: the triangle append and the face-map installs.
 	e.rb.phaseB = true
 	base := int32(len(s.tris))
-	//ridtvet:ignore noalloc the triangle log is reserved to its final size in newRoundEngine; the append almost never regrows
+	//ridtvet:ignore noalloc the triangle log is reserved to its final size in newStore; the append almost never regrows
 	s.tris = append(s.tris, newTris...)
-	//ridtvet:ignore noalloc reserved alongside the triangle log in newRoundEngine
+	//ridtvet:ignore noalloc reserved alongside the triangle log in newStore
 	s.depth = append(s.depth, newDepth...)
 	s.stats.TrianglesCreated += int64(m)
 
 	ar.dense = growSlice(ar.dense, 3*m)
 	dense := ar.dense
+	hook := e.boundaryHook // nil in production: one branch per fire
 	//ridtvet:ignore noalloc one Phase B closure per round, O(1) against O(m) work
 	parallel.BlocksN(0, m, nb, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -318,6 +299,9 @@ func (e *roundEngine) step() bool {
 				return old
 			})
 			dense[3*k] = f.fk
+			if hook != nil {
+				hook(stagePhaseB)
+			}
 			// Register the two new faces of t'. A new face may be touched
 			// by the fire on its other side in the same round (created
 			// there, attached here, in either order) — the claim-min stamp

@@ -2,6 +2,8 @@ package delaunay
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,40 +108,54 @@ func TestStepCancelCleanAbortAndResume(t *testing.T) {
 }
 
 // TestPanicMidRoundLazyRollback is the delaunay half of the panic-safety
-// tests: a panic escaping a round (here from the post-B boundary,
-// with the face map already mutated) leaves the engine dirty, and the
-// next use repairs it — scratch is reset, not poisoned — yielding the
-// identical mesh.
+// tests: a panic escaping a round leaves the engine dirty, and the next
+// use repairs it — scratch is reset, not poisoned — yielding the identical
+// mesh. The boundary stages crash round 2 once; stagePhaseB crashes the
+// first, a middle and the last fire of Phase B's loop in rounds 2, 10, 20
+// and 30, with the face map partially installed (the crashing fire has
+// repointed its ripped face but attached no tent face), which exercises
+// rollback's per-fire conditional repair.
 func TestPanicMidRoundLazyRollback(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(13), 1500))
 	want := ParTriangulate(pts)
-	for _, stage := range []int{stageRoundTop, stagePostA, stagePostB} {
+	// crash panics at the at(m)-th call of stage in the given round, where
+	// m is the round's fire count; at the round top e.round is still the
+	// previous round's number.
+	crash := func(tag string, stage int, round int32, at func(m int) int) {
 		e := newRoundEngine(pts)
-		fired := false
+		var calls atomic.Int64 // the stagePhaseB hook runs on pool workers
 		e.boundaryHook = func(st int) {
-			if st == stage && e.round >= 2 && !fired {
-				fired = true
+			if st == stage && e.round == round && calls.Add(1) == int64(at(len(e.ar.fires))) {
 				panic("injected phase crash")
 			}
 		}
 		func() {
 			defer func() {
 				if r := recover(); r != "injected phase crash" {
-					t.Fatalf("stage %d: recovered %v", stage, r)
+					t.Fatalf("%s: recovered %v", tag, r)
 				}
 			}()
 			for {
 				if !e.step() {
-					t.Fatalf("stage %d: run ended before the hook fired", stage)
+					t.Fatalf("%s: run ended before the hook fired", tag)
 				}
 			}
 		}()
 		if stage != stageRoundTop && !e.rb.dirty {
-			t.Fatalf("stage %d: engine not dirty after mid-round panic", stage)
+			t.Fatalf("%s: engine not dirty after mid-round panic", tag)
 		}
 		e.boundaryHook = nil
 		got := drive(e) // first step repairs lazily, then the run completes
-		meshEqual(t, "resume after recovered panic", got, want)
+		meshEqual(t, tag+": resume after recovered panic", got, want)
+	}
+	first := func(int) int { return 1 }
+	for _, stage := range []int{stageRoundTop, stagePostA, stagePostB} {
+		crash(fmt.Sprintf("stage %d", stage), stage, 2, first)
+	}
+	for _, r := range []int32{2, 10, 20, 30} {
+		crash(fmt.Sprintf("round %d, first fire", r), stagePhaseB, r, first)
+		crash(fmt.Sprintf("round %d, middle fire", r), stagePhaseB, r, func(m int) int { return (m + 1) / 2 })
+		crash(fmt.Sprintf("round %d, last fire", r), stagePhaseB, r, func(m int) int { return m })
 	}
 }
 

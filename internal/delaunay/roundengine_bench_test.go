@@ -150,7 +150,7 @@ func BenchmarkDelaunayRoundDedup(b *testing.B) {
 	b.Run(fmt.Sprintf("scheme=stamp/m=%d", m), func(b *testing.B) {
 		// Prepare the stamped face map as Phase B leaves it: every touched
 		// face carries (round, min toucher slot).
-		faces := newTestFaceMap(len(dense) * 2)
+		faces := newFaceMap(0, len(dense)*2)
 		const round = int32(1)
 		for i, fk := range dense {
 			k := int32(i / 3)

@@ -11,15 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/hashtable"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
-
-func newTestFaceMap(capacity int) *hashtable.LockFreeInline[uint64, faceEntry] {
-	return hashtable.NewLockFreeInline[uint64, faceEntry](capacity,
-		func(k uint64) uint64 { return k }, encFace, decFace)
-}
 
 func TestFaceEntryCodec(t *testing.T) {
 	cases := []faceEntry{
@@ -53,7 +47,7 @@ func TestRoundStampClaimRace(t *testing.T) {
 	if testing.Short() {
 		rounds = 10
 	}
-	faces := newTestFaceMap(2 * nfaces)
+	faces := newFaceMap(0, 2*nfaces)
 	for r := int32(1); r <= int32(rounds); r++ {
 		// Offset the winning index each round so stale stamps from the
 		// previous round would be caught.
@@ -162,7 +156,7 @@ func TestI32Arena(t *testing.T) {
 // map value type: the Phase B updates (rip replacement and new-face
 // attachment with the claim stamp) allocate nothing.
 func TestFaceMapUpdateNoAlloc(t *testing.T) {
-	faces := newTestFaceMap(1024)
+	faces := newFaceMap(0, 1024)
 	for i := uint64(1); i <= 256; i++ {
 		faces.Store(i, faceEntry{t0: int32(i), t1: NoTri})
 	}
@@ -221,20 +215,25 @@ func TestRoundAllocsSteadyState(t *testing.T) {
 	t.Logf("rounds=%d worst steady-state allocs/round=%d", rounds, worst)
 }
 
-// TestParTriangulateTotalAllocs pins the whole-run allocation budget:
-// with the arena, the inline face map, and the chunked E lists, total
-// allocations are a small fraction of the triangle count (the old path
-// allocated several per triangle).
+// TestParTriangulateTotalAllocs pins the whole-run allocation budget of
+// both engines on the round engine's store: with the arena, the chunked E
+// lists and (for ParTriangulate) the inline face map, total allocations
+// are a small fraction of the triangle count (the old paths allocated
+// several per triangle).
 func TestParTriangulateTotalAllocs(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(23), 2000))
 	ParTriangulate(pts) // warm the scheduler pool
-	m := ParTriangulate(pts)
-	tris := float64(m.Stats.TrianglesCreated)
-	allocs := testing.AllocsPerRun(3, func() {
-		ParTriangulate(pts)
-	})
-	if allocs > tris/2 {
-		t.Fatalf("ParTriangulate allocs/run = %.0f for %.0f triangles; want < triangles/2", allocs, tris)
+	tris := float64(ParTriangulate(pts).Stats.TrianglesCreated)
+	for _, alg := range []struct {
+		name string
+		run  func([]geom.Point) *Mesh
+	}{{"ParTriangulate", ParTriangulate}, {"Triangulate", Triangulate}} {
+		allocs := testing.AllocsPerRun(3, func() {
+			alg.run(pts)
+		})
+		if allocs > tris/2 {
+			t.Fatalf("%s allocs/run = %.0f for %.0f triangles; want < triangles/2", alg.name, allocs, tris)
+		}
+		t.Logf("%s: allocs/run=%.0f triangles=%.0f (%.3f allocs/triangle)", alg.name, allocs, tris, allocs/tris)
 	}
-	t.Logf("allocs/run=%.0f triangles=%.0f (%.3f allocs/triangle)", allocs, tris, allocs/tris)
 }

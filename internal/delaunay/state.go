@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/hashtable"
 )
 
 // Checkpoint capture and restore for a live triangulation.
@@ -315,15 +314,11 @@ func ResumeLive(st *BuildState) (*Live, error) {
 	s := &store{pts: st.Pts, n: st.N, pred: &geom.PredicateStats{}}
 	s.stats = st.Stats
 	*s.pred = st.Pred
-	resCap := 4*s.n + 16
-	if len(st.Tris) > resCap {
-		resCap = len(st.Tris)
-	}
+	resCap := max(logCap(s.n), len(st.Tris))
 	s.tris = append(make([]Tri, 0, resCap), st.Tris...)
 	s.depth = append(make([]int32, 0, resCap), st.Depth...)
 
-	faces := hashtable.NewLockFreeInline[uint64, faceEntry](max(8*st.N+16, len(st.Faces)),
-		func(k uint64) uint64 { return k }, encFace, decFace)
+	faces := newFaceMap(st.N, len(st.Faces))
 	for _, f := range st.Faces {
 		faces.Store(f.Key, decFace(f.W0, f.W1))
 	}
