@@ -453,27 +453,69 @@ func BenchmarkAblationGrain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPredicates prices InCircle on three kinds of input and
-// reports the share of calls that get past the stage-A float filter:
-// benign random points (almost none), points within 1e-12 of the unit
-// circle (past stage A, decided by the expansion stages on inexact
-// differences), and the recover workload's lattice, whose rectangles are
-// exactly cocircular with dyadic coordinates (every call past stage A,
-// decided exactly by stage B). Every arm runs allocation-free.
+// BenchmarkAblationPredicates prices InCircle on 65536 distinct
+// quadruples per arm, so no arm replays inputs the branch predictor can
+// learn, and reports the share of calls that get past the float filters:
+//
+//   - benign: random points (almost none);
+//   - cocircular: points within 1e-12 of the unit circle (past the filter,
+//     decided by the expansion stages on inexact differences);
+//   - lattice: rectangles of the recover workload's lattice, exactly
+//     cocircular with dyadic coordinates (every call past the filter,
+//     decided exactly by stage B);
+//   - shared-circle: one triangle's circle per 27 queries, as newTriData
+//     tests Fact 4.1's candidates against the new triangle's circle (27
+//     is the tests per triangle of a 65536-point disk build), through the
+//     full InCircleStats;
+//   - prepared: the same queries through one geom.PrepareCircle per
+//     circle, as newTriData runs them.
+//
+// Every arm runs allocation-free.
 func BenchmarkAblationPredicates(b *testing.B) {
+	const quads = 1 << 16
 	r := rng.New(11)
-	benign := geom.UniformSquare(r, 4096)
-	adversarial := geom.OnCircle(r, 4096, 1e-12)
-	// Corners (i, j), (i+w, j), (i+w, j+h), (i, j+h) of lattice
+	benign := geom.UniformSquare(r, 4*quads)
+	adversarial := geom.OnCircle(r, 4*quads, 1e-12)
+	// Corners (i, j), (i+w, j), (i+w, j+h), (i, j+h) of distinct lattice
 	// rectangles, counterclockwise. GridJitter lays the lattice out
 	// column by column, side points per column.
-	const side = 64
+	const side = 256
 	grid := geom.GridJitter(r, side*side, 0)
-	lattice := make([]geom.Point, 0, 4096)
-	for len(lattice) < 4096 {
+	lattice := make([]geom.Point, 0, 4*quads)
+	seen := make(map[[4]int]bool, quads)
+	for len(lattice) < 4*quads {
 		i, j := r.Intn(side-3), r.Intn(side-3)
 		w, h := 1+r.Intn(3), 1+r.Intn(3)
+		if seen[[4]int{i, j, w, h}] {
+			continue
+		}
+		seen[[4]int{i, j, w, h}] = true
 		lattice = append(lattice, grid[i*side+j], grid[(i+w)*side+j], grid[(i+w)*side+j+h], grid[i*side+j+h])
+	}
+	// Shared circles: counterclockwise corners within 0.01 of a random
+	// centre and queries within 0.02 of it, so a good share encroach.
+	const perCircle = 27
+	near := func(x, y, h float64) geom.Point {
+		return geom.Point{X: x + h*(2*r.Float64()-1), Y: y + h*(2*r.Float64()-1)}
+	}
+	tris := make([][3]geom.Point, (quads+perCircle-1)/perCircle)
+	queries := make([]geom.Point, quads)
+	var x, y float64
+	for q := range queries {
+		if q%perCircle == 0 {
+			x, y = r.Float64(), r.Float64()
+			c := &tris[q/perCircle]
+			c[0], c[1], c[2] = near(x, y, 0.01), near(x, y, 0.01), near(x, y, 0.01)
+			if geom.Orient2D(c[0], c[1], c[2]) < 0 {
+				c[0], c[1] = c[1], c[0]
+			}
+		}
+		queries[q] = near(x, y, 0.02)
+	}
+	report := func(b *testing.B, st *geom.PredicateStats) {
+		if st.InCircleCalls > 0 {
+			b.ReportMetric(float64(st.InCircleExact)/float64(st.InCircleCalls), "exact-rate")
+		}
 	}
 	run := func(b *testing.B, pts []geom.Point) {
 		var st geom.PredicateStats
@@ -484,13 +526,39 @@ func BenchmarkAblationPredicates(b *testing.B) {
 				geom.InCircleStats(pts[j], pts[j+1], pts[j+2], pts[j+3], &st)
 			}
 		}
-		if st.InCircleCalls > 0 {
-			b.ReportMetric(float64(st.InCircleExact)/float64(st.InCircleCalls), "exact-rate")
-		}
+		report(b, &st)
 	}
 	b.Run("benign", func(b *testing.B) { run(b, benign) })
 	b.Run("cocircular", func(b *testing.B) { run(b, adversarial) })
 	b.Run("lattice", func(b *testing.B) { run(b, lattice) })
+	b.Run("shared-circle", func(b *testing.B) {
+		var st geom.PredicateStats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for q, d := range queries {
+				c := &tris[q/perCircle]
+				geom.InCircleStats(c[0], c[1], c[2], d, &st)
+			}
+		}
+		report(b, &st)
+	})
+	b.Run("prepared", func(b *testing.B) {
+		var st geom.PredicateStats
+		var pc geom.PreparedCircle
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for q, d := range queries {
+				if q%perCircle == 0 {
+					c := &tris[q/perCircle]
+					pc = geom.PrepareCircle(c[0], c[1], c[2])
+				}
+				pc.InCircleStats(d, &st)
+			}
+		}
+		report(b, &st)
+	})
 }
 
 // BenchmarkAblationSCCCombine quantifies the price of the eager round

@@ -75,10 +75,22 @@ func (s *store) isBoundingEdge(k uint64) bool {
 	return int(a) >= s.n && int(b) >= s.n
 }
 
-// logCap is the initial capacity of the triangle log of a run over n
-// points: the run creates O(n) triangles (Theorem 4.5's accounting), so
-// the log's appends rarely regrow it.
-func logCap(n int) int { return 4*n + 16 }
+// logCap is the initial capacity of the triangle log (and of the arrays
+// indexed like it) of a run over n points. Inserting v creates deg(v)
+// triangles, v's degree in the triangulation of the points so far and the
+// three bounding corners; that triangulation's degrees sum to 6i+6 over
+// i+3 vertices, the corners hold at least 9 of it, so by backwards
+// analysis a run creates at most 6n+1 triangles in expectation. Measured
+// on uniform square and disk inputs (seeds 1–12, n = 2000, 4096 and
+// 65536) a run created at most 6n+720, and the shuffled lattice about
+// 5.1n; the n/32+64 slack covers that spread, so the appends regrow the
+// log only on an unusual input.
+func logCap(n int) int { return 6*n + n/32 + 64 }
+
+// finalCount is the number of final triangles of a run over n distinct
+// points: a triangulation of the n+3 points whose hull is the bounding
+// triangle has 2(n+3)-2-3 = 2n+1 triangles.
+func finalCount(n int) int { return 2*n + 1 }
 
 func newStore(pts []geom.Point) *store {
 	n := len(pts)
@@ -119,7 +131,10 @@ func (s *store) minE(t int32) int32 {
 // newTriData computes the corner array and encroaching set of the triangle
 // t' = (f, v) replacing t across f, per Fact 4.1: points in E(t)∩E(to) are
 // included without a test; points in the symmetric difference are tested
-// with InCircle. The returned test count feeds Theorem 4.5's accounting.
+// with InCircle. Every test is against the circle of t' itself, so t' is
+// prepared once (geom.PrepareCircle, translated to v) and each test is
+// the prepared filter, which passes what it cannot decide to the full
+// predicate. The returned test count feeds Theorem 4.5's accounting.
 // to == NoTri (hull face of t_b) means all candidates come from E(t).
 // out is the destination for the encroacher list; it must be empty with
 // capacity at least len(E(t))+len(E(to)) so the appends below never
@@ -131,7 +146,7 @@ func (s *store) newTriData(to int32, fk uint64, t int32, v int32, pred *geom.Pre
 	if geom.Orient2DStats(s.pts[a], s.pts[b], s.pts[v], pred) < 0 {
 		corners[0], corners[1] = corners[1], corners[0]
 	}
-	pa, pb, pc := s.pts[corners[0]], s.pts[corners[1]], s.pts[corners[2]]
+	circle := geom.PrepareCircle(s.pts[corners[0]], s.pts[corners[1]], s.pts[v])
 
 	et := s.tris[t].E
 	var eo []int32
@@ -164,7 +179,7 @@ func (s *store) newTriData(to int32, fk uint64, t int32, v int32, pred *geom.Pre
 			continue
 		}
 		tests++
-		if geom.InCircleStats(pa, pb, pc, s.pts[w], pred) > 0 {
+		if circle.InCircleStats(s.pts[w], pred) > 0 {
 			out = append(out, w)
 		}
 	}
@@ -220,7 +235,7 @@ func (m *Mesh) InnerTriangles() []Tri {
 
 // finish extracts the final mesh from a store.
 func (s *store) finish() *Mesh {
-	var final []Tri
+	final := make([]Tri, 0, finalCount(s.n))
 	for i := range s.tris {
 		if len(s.tris[i].E) == 0 {
 			t := s.tris[i]
@@ -258,6 +273,12 @@ func (s *store) finish() *Mesh {
 // mesh is s.finish()'s.
 func Triangulate(pts []geom.Point) *Mesh {
 	s := newStore(pts)
+	s.insertSequential()
+	return s.finish()
+}
+
+// insertSequential is Triangulate's insertion loop over a fresh store.
+func (s *store) insertSequential() {
 	n := s.n
 	head := make([]int32, n) // first triangle of R(v), in creation order
 	tail := make([]int32, n) // last triangle of R(v); valid once head is set
@@ -335,7 +356,6 @@ func Triangulate(pts []geom.Point) *Mesh {
 			}
 		}
 	}
-	return s.finish()
 }
 
 // SortTriangles returns the triangles' corner triples in a canonical order

@@ -96,6 +96,43 @@ func TestParTriangulateSameInCircleCount(t *testing.T) {
 	}
 }
 
+// TestPredicateCountsGolden pins both engines' Stats and predicate
+// counters on a 4096-point disk and on the shuffled lattice to the values
+// recorded before newTriData tested through a prepared circle: on these
+// inputs the prepared filter decides a call only where the full
+// predicate's stage A would have, so every count, the exact ones
+// included, stays what the full predicate alone gave.
+func TestPredicateCountsGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pts  []geom.Point
+		st   Stats // Rounds as ParTriangulate reports it
+		pred geom.PredicateStats
+	}{
+		{"disk", geom.UniformDisk(rng.New(1), 4096),
+			Stats{InCircleTests: 446623, TrianglesCreated: 24339, Rounds: 60, DepDepth: 60},
+			geom.PredicateStats{Orient2DCalls: 24338, InCircleCalls: 446623}},
+		{"lattice", shuffledLattice(1, 4096),
+			Stats{InCircleTests: 409418, TrianglesCreated: 20831, Rounds: 58, DepDepth: 58},
+			geom.PredicateStats{Orient2DCalls: 20830, InCircleCalls: 409418, InCircleExact: 18773}},
+	} {
+		s := newStore(c.pts)
+		s.insertSequential()
+		seq := s.finish()
+		want := c.st
+		want.Rounds = 0
+		if seq.Stats != want || *s.pred != c.pred {
+			t.Errorf("%s: Triangulate stats %+v, predicates %+v; want %+v, %+v", c.name, seq.Stats, *s.pred, want, c.pred)
+		}
+		e := newRoundEngine(c.pts)
+		for e.step() {
+		}
+		if par := e.s.finish(); par.Stats != c.st || *e.s.pred != c.pred {
+			t.Errorf("%s: ParTriangulate stats %+v, predicates %+v; want %+v, %+v", c.name, par.Stats, *e.s.pred, c.st, c.pred)
+		}
+	}
+}
+
 func TestDependenceDepthMatches(t *testing.T) {
 	// The parallel round count equals the triangle-DAG depth: a triangle
 	// created in round r has dependence depth exactly r.

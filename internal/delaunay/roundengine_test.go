@@ -7,6 +7,7 @@ package delaunay
 // primary correctness oracle.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -235,5 +236,61 @@ func TestParTriangulateTotalAllocs(t *testing.T) {
 			t.Fatalf("%s allocs/run = %.0f for %.0f triangles; want < triangles/2", alg.name, allocs, tris)
 		}
 		t.Logf("%s: allocs/run=%.0f triangles=%.0f (%.3f allocs/triangle)", alg.name, allocs, tris, allocs/tris)
+	}
+}
+
+// TestTriangleLogReserved requires every engine to fill its triangle log
+// and depth array within logCap's reservation, so no build regrows and
+// copies them, and the finals to fill their exact 2n+1 reservation: in
+// finish for Triangulate and ParTriangulate, and in Live's final-id list.
+// Inputs are uniform squares and disks (seeds 1–5) and the shuffled
+// lattice; -short and the race detector keep n = 2000 only.
+func TestTriangleLogReserved(t *testing.T) {
+	sizes := []int{2000, 65536}
+	if testing.Short() || raceEnabled {
+		sizes = sizes[:1]
+	}
+	type input struct {
+		name string
+		pts  []geom.Point
+	}
+	for _, n := range sizes {
+		ins := []input{{fmt.Sprintf("lattice/n=%d", n), shuffledLattice(1, n)}}
+		for seed := uint64(1); seed <= 5; seed++ {
+			ins = append(ins,
+				input{fmt.Sprintf("square/n=%d/seed=%d", n, seed), geom.Dedup(geom.UniformSquare(rng.New(seed), n))},
+				input{fmt.Sprintf("disk/n=%d/seed=%d", n, seed), geom.Dedup(geom.UniformDisk(rng.New(seed), n))})
+		}
+		for _, in := range ins {
+			want, finals := logCap(len(in.pts)), finalCount(len(in.pts))
+			check := func(engine string, s *store, m *Mesh) {
+				t.Helper()
+				if cap(s.tris) != want || cap(s.depth) != want {
+					t.Errorf("%s %s: %d triangles created, log capacity %d and depth capacity %d, want the reservation %d",
+						in.name, engine, len(s.tris), cap(s.tris), cap(s.depth), want)
+				}
+				if len(m.Triangles) != finals || cap(m.Triangles) != finals {
+					t.Errorf("%s %s: %d finals in capacity %d, want %d in %d",
+						in.name, engine, len(m.Triangles), cap(m.Triangles), finals, finals)
+				}
+			}
+			s := newStore(in.pts)
+			s.insertSequential()
+			check("Triangulate", s, s.finish())
+			e := newRoundEngine(in.pts)
+			for e.step() {
+			}
+			check("ParTriangulate", e.s, e.s.finish())
+			lv := NewLive(in.pts)
+			m, err := lv.Run(nil)
+			if err != nil {
+				t.Fatalf("%s: Live.Run: %v", in.name, err)
+			}
+			check("Live", lv.e.s, m)
+			if len(lv.final) != finals || cap(lv.final) != finals {
+				t.Errorf("%s Live: %d final ids in capacity %d, want %d in %d",
+					in.name, len(lv.final), cap(lv.final), finals, finals)
+			}
+		}
 	}
 }

@@ -80,7 +80,8 @@ type BuildState struct {
 // CaptureState snapshots the live build for checkpointing. It must be
 // called from the publisher goroutine between Step calls — the committed
 // round boundary, where face-map mutators are quiesced. The capture cost
-// is O(faces + candidates); the shared slices make the rest O(1).
+// is one sweep of the face table plus O(candidates); the shared slices
+// make the rest O(1).
 func (lv *Live) CaptureState() *BuildState {
 	e := lv.e
 	s := e.s
@@ -91,14 +92,19 @@ func (lv *Live) CaptureState() *BuildState {
 		Pts:   s.pts[:len(s.pts):len(s.pts)],
 		Tris:  s.tris[:len(s.tris):len(s.tris)],
 		Depth: s.depth[:len(s.depth):len(s.depth)],
-		Final: lv.final[:len(lv.final):len(lv.final)],
 		Cand:  append([]uint64(nil), e.cand...),
 		Stats: s.stats,
 		Pred:  *s.pred,
 	}
-	snap := e.faces.Snapshot()
-	st.Faces = make([]FaceRec, 0, snap.Len())
-	snap.Range(func(k uint64, v faceEntry) bool {
+	// Before the first final the pre-sized list is empty but not nil; a
+	// captured state keeps empty collections nil, as a decoded one does.
+	if len(lv.final) > 0 {
+		st.Final = lv.final[:len(lv.final):len(lv.final)]
+	}
+	// The claim count sizes the copy without a counting sweep: only the
+	// rollback deletes faces, so it is exact or a few tombstones over.
+	st.Faces = make([]FaceRec, 0, e.faces.Claimed())
+	e.faces.Snapshot().Range(func(k uint64, v faceEntry) bool {
 		w0, w1 := encFace(v)
 		st.Faces = append(st.Faces, FaceRec{Key: k, W0: w0, W1: w1})
 		return true
@@ -333,7 +339,7 @@ func ResumeLive(st *BuildState) (*Live, error) {
 	lv := &Live{
 		e:       e,
 		scanned: len(s.tris),
-		final:   append([]int32(nil), st.Final...),
+		final:   append(make([]int32, 0, max(finalCount(s.n), len(st.Final))), st.Final...),
 		ix:      newLocIndex(s.pts, s.n),
 		done:    st.Done,
 	}

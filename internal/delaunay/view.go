@@ -349,6 +349,7 @@ type Live struct {
 // view (the bare bounding triangle).
 func NewLive(pts []geom.Point) *Live {
 	lv := &Live{e: newRoundEngine(pts)}
+	lv.final = make([]int32, 0, finalCount(lv.e.s.n))
 	lv.ix = newLocIndex(lv.e.s.pts, lv.e.s.n)
 	lv.collect()
 	lv.done = len(pts) == 0

@@ -196,14 +196,36 @@ func TestPredicatesOutsideWindow(t *testing.T) {
 		{{max, 0}, {0, max}, {-max, 0}, {0, -max / 2}},
 		{{1, 1}, {1e-300, 1e-300}, {-3, -3}, {0, 1e-310}},
 	} {
-		if got, want := InCircle(p[0], p[1], p[2], p[3]), inCircleBig(p[0], p[1], p[2], p[3]); got != want {
+		want := inCircleBig(p[0], p[1], p[2], p[3])
+		if got := InCircle(p[0], p[1], p[2], p[3]); got != want {
 			t.Errorf("InCircle%v = %d, oracle %d", p, got, want)
+		}
+		pc := PrepareCircle(p[0], p[1], p[2])
+		if got := pc.InCircleStats(p[3], nil); got != want {
+			t.Errorf("prepared InCircle%v = %d, oracle %d", p, got, want)
 		}
 	}
 	nan := Point{math.NaN(), 0}
 	if got := Orient2D(Point{0, 0}, Point{1, 0}, nan); got != 0 {
 		t.Errorf("Orient2D with a NaN coordinate = %d, want the filter's 0", got)
 	}
+	// A non-finite query against the prepared circle gets whatever the
+	// full predicate gives it, a sign or a panic.
+	a, b, c := Point{1, 0}, Point{0, 1}, Point{-1, 0}
+	pc := PrepareCircle(a, b, c)
+	for _, d := range []Point{{math.NaN(), 0}, {0, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
+		got, gotPanic := outcome(func() int { return pc.InCircleStats(d, nil) })
+		want, wantPanic := outcome(func() int { return InCircle(a, b, c, d) })
+		if got != want || (gotPanic == nil) != (wantPanic == nil) {
+			t.Errorf("prepared InCircle(%v) = %d (panic %v), full predicate %d (panic %v)", d, got, gotPanic, want, wantPanic)
+		}
+	}
+}
+
+// outcome runs f and returns its result, or the value it panicked with.
+func outcome(f func() int) (v int, panicked any) {
+	defer func() { panicked = recover() }()
+	return f(), nil
 }
 
 // mixedFloat returns a value whose exponent spans 2^±60, so that
@@ -246,6 +268,10 @@ func TestAdaptiveStagesExact(t *testing.T) {
 		}
 		if got := InCircle(p[0], p[1], p[2], p[3]); got != wantC {
 			t.Fatalf("InCircle%v = %d, oracle %d", p, got, wantC)
+		}
+		pc := PrepareCircle(p[0], p[1], p[2])
+		if got := pc.InCircleStats(p[3], nil); got != wantC {
+			t.Fatalf("prepared InCircle%v = %d, oracle %d", p, got, wantC)
 		}
 		wantO := orientBig(p[0], p[1], p[3])
 		if s, ok := orient2DAdapt(p[0], p[1], p[3], inf); !ok || s != wantO {
@@ -296,6 +322,10 @@ func TestExpansionPathDecidesWorkloads(t *testing.T) {
 			if got := InCircleStats(p0, p1, p2, p3, &st); got != s {
 				t.Fatalf("%s: InCircle%v = %d, stage D %d", w.name, [4]Point{p0, p1, p2, p3}, got, s)
 			}
+			pc := PrepareCircle(p0, p1, p2)
+			if got := pc.InCircleStats(p3, nil); got != s {
+				t.Fatalf("%s: prepared InCircle%v = %d, stage D %d", w.name, [4]Point{p0, p1, p2, p3}, got, s)
+			}
 			if st.InCircleExact > before && q%16 == 0 {
 				if want := inCircleBig(p0, p1, p2, p3); s != want {
 					t.Fatalf("%s: InCircle%v = %d, oracle %d", w.name, [4]Point{p0, p1, p2, p3}, s, want)
@@ -318,13 +348,16 @@ func TestExpansionPathDecidesWorkloads(t *testing.T) {
 // TestPredicateAllocs pins the exact predicates at zero allocations inside
 // the exponent window: on the lattice (stage B), on near-cocircular and
 // near-collinear inputs with inexact differences (stages C and D), and
-// with stage D forced by an infinite error scale.
+// with stage D forced by an infinite error scale; and the prepared
+// circle, on a query its filter decides and on one it passes to the full
+// predicate.
 func TestPredicateAllocs(t *testing.T) {
 	lat := GridJitter(rng.New(1), 1024, 0)
 	tiny := math.Ldexp(1, -70)
 	diag := [4]Point{{1, 1}, {tiny * 3, tiny * 3}, {-3, -3}, {tiny, math.Nextafter(tiny, 1)}}
 	chord := [4]Point{{0.1, 0.7}, {-0.6, 0.2}, {0.3, -0.9}, {0.2, -0.1}}
 	inf := math.Inf(1)
+	var st PredicateStats
 	var sink int
 	for _, c := range []struct {
 		name string
@@ -342,6 +375,14 @@ func TestPredicateAllocs(t *testing.T) {
 		{"forced stage D Orient2D", func() {
 			s, _ := orient2DAdapt(diag[0], diag[1], diag[3], inf)
 			sink += s
+		}},
+		{"prepared InCircle, filter decides", func() {
+			pc := PrepareCircle(chord[0], chord[1], chord[2])
+			sink += pc.InCircleStats(Point{0.9, 0.9}, &st)
+		}},
+		{"prepared InCircle, lattice tie", func() {
+			pc := PrepareCircle(lat[0], lat[1], lat[33])
+			sink += pc.InCircleStats(lat[32], &st)
 		}},
 	} {
 		if a := testing.AllocsPerRun(100, c.f); a != 0 {
@@ -386,8 +427,11 @@ func packOffsets(o [8]int8) uint64 {
 	return u
 }
 
-// FuzzPredicates compares Orient2D and InCircle, and their stage D run
-// in full, with the big.Rat oracles.
+// FuzzPredicates compares Orient2D and InCircle, their stage D run in
+// full, and InCircle through the circle PrepareCircle(a, b, c) with the
+// big.Rat oracles. The prepared method's fallback is the full predicate,
+// checked here too, so it agrees with the oracle exactly when every sign
+// its own filter decides does.
 func FuzzPredicates(f *testing.F) {
 	cocircular := packOffsets([8]int8{5, 0, 0, 5, -5, 0, 3, 4})
 	square := packOffsets([8]int8{1, 0, 1, 1, 0, 1, 0, 0})
@@ -419,6 +463,9 @@ func FuzzPredicates(f *testing.F) {
 	// the unit box, (-49.5, -49.5), (50.5, -49.5), (0.5, 50.5).
 	f.Add(0.5, 0.5, packOffsets([8]int8{-100, -100, 100, -100, 0, 100, 1, -1}), int16(-1), uint16(0))
 	f.Add(0.5, 0.5, packOffsets([8]int8{-100, -100, 100, -100, 0, 100, 0, 0}), int16(-1), uint16(0x4000))
+	// A circle inside the window and a query one ulp of 2^-210 off its
+	// corner c: d - c = 2^-262 leaves the window.
+	f.Add(math.Ldexp(1, -210), math.Ldexp(1, -210), packOffsets([8]int8{1, 0, 0, 1, 0, 0, 0, 0}), int16(0), uint16(1<<12))
 
 	inf := math.Inf(1)
 	f.Fuzz(func(t *testing.T, bx, by float64, offs uint64, exp int16, nudge uint16) {
@@ -433,6 +480,10 @@ func FuzzPredicates(f *testing.F) {
 		}
 		if s, ok := inCircleAdapt(a, b, c, d, inf); ok && s != want {
 			t.Fatalf("InCircle stage D on %v = %d, oracle %d", p, s, want)
+		}
+		pc := PrepareCircle(a, b, c)
+		if got := pc.InCircleStats(d, nil); got != want {
+			t.Fatalf("prepared InCircle%v = %d, oracle %d", p, got, want)
 		}
 		for _, tri := range [][3]Point{{a, b, c}, {a, b, d}, {b, c, d}} {
 			want := orientBig(tri[0], tri[1], tri[2])

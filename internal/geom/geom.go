@@ -9,7 +9,11 @@
 // Predicates" (1997):
 //
 //   - Stage A is a float64 evaluation with a forward error bound; it
-//     decides almost every call on non-degenerate input.
+//     decides almost every call on non-degenerate input. For many
+//     InCircle tests against one circle, PrepareCircle computes the
+//     circle's coefficients once, and each test is a semi-static filter
+//     with its own derived bound (prepared.go); what it cannot decide
+//     goes to the full predicate, stage A included.
 //   - Stage B evaluates the determinant of the rounded coordinate
 //     differences exactly, as an expansion (a sum of nonoverlapping
 //     float64 components) built with error-free transforms: Two-Sum,
@@ -74,7 +78,8 @@ const (
 
 // PredicateStats counts predicate evaluations. The Exact counters count
 // the calls that got past stage A, the float filter, whichever later stage
-// decided them; the checkpoint header persists all four fields, and
+// decided them; a call a prepared circle's filter decides counts as a
+// call, not an exact one. The checkpoint header persists all four fields, and
 // BenchmarkAblationPredicates reports the InCircle share. Counters are not
 // atomic: use one instance per goroutine or accept approximate totals. A
 // nil *PredicateStats is valid and records nothing.

@@ -196,6 +196,17 @@ func TestPredicateStats(t *testing.T) {
 	if st.InCircleExact != 1 {
 		t.Fatalf("cocircular case should hit the exact path: %+v", st)
 	}
+	// The prepared circle counts the same way: a call its filter decides
+	// is a call, and a tie goes through the full predicate to the exact
+	// stages.
+	pc := PrepareCircle(a, b, c)
+	var pst PredicateStats
+	if pc.InCircleStats(Point{0, 0}, &pst) != 1 || pc.InCircleStats(Point{0, -1}, &pst) != 0 {
+		t.Fatal("prepared circle: wrong sign on the unit circle")
+	}
+	if pst != (PredicateStats{InCircleCalls: 2, InCircleExact: 1}) {
+		t.Fatalf("prepared circle stats: %+v", pst)
+	}
 	var merged PredicateStats
 	merged.Merge(st)
 	if merged.InCircleCalls != 2 {

@@ -352,6 +352,12 @@ func (h *LockFreeInline[K, V]) Reserve(more int) {
 	h.cur.Store(nt)
 }
 
+// Claimed returns how many slots the current table has claimed: its live
+// keys plus its tombstones. It is O(1), and while no mutator runs it
+// bounds from above the entries a snapshot opened now ranges over, so a
+// caller can size a copy of the table without a counting sweep.
+func (h *LockFreeInline[K, V]) Claimed() int { return int(h.cur.Load().claims.Load()) }
+
 // inSnap is the table's snapshot: an O(1) pin of the root table. All
 // reads go through the validated seqlock read, so snapshot readers racing
 // a writer storm spin through in-flight writes but never observe torn

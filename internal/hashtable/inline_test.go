@@ -160,7 +160,7 @@ func TestInlineWriteNoAlloc(t *testing.T) {
 // TestInlineGrowth fills a tiny table far past several growths, one
 // Reserve per insert, and checks every key, including interleaved deletes:
 // tombstones must not resurrect, and a rehash drops them, so the grown
-// table claims only the live keys.
+// table claims only the live keys; before it, Claimed bounds Len.
 func TestInlineGrowth(t *testing.T) {
 	m := newInlineInt(2)
 	const n = 5000
@@ -183,6 +183,9 @@ func TestInlineGrowth(t *testing.T) {
 	if got := m.Snapshot().Len(); got != len(want) {
 		t.Fatalf("Len=%d want %d", got, len(want))
 	}
+	if c := m.Claimed(); c < len(want) {
+		t.Fatalf("Claimed=%d below the %d live keys", c, len(want))
+	}
 	for k, w := range want {
 		if v, ok := m.Load(k); !ok || v != w {
 			t.Fatalf("key %d = (%d,%v), want %d", k, v, ok, w)
@@ -190,7 +193,7 @@ func TestInlineGrowth(t *testing.T) {
 	}
 	// Force one more rehash: only the live keys are claimed after it.
 	m.Reserve(int(m.cur.Load().limit))
-	if c := m.cur.Load().claims.Load(); c != int64(len(want)) {
+	if c := m.Claimed(); c != len(want) {
 		t.Fatalf("claims after rehash = %d, want %d live keys", c, len(want))
 	}
 	for k, w := range want {
