@@ -9,7 +9,7 @@ import (
 // Atomicmix flags mixed atomic/plain access: once any site in the module
 // accesses a struct field (or package-level variable) through a raw
 // sync/atomic function, every other access to that field anywhere in the
-// module must be atomic too. This is the invariant the seqlock and
+// module must be atomic too. This is the invariant the slot-lock and
 // claim-word protocols depend on and that -race only checks for the
 // schedules it happens to see: a single plain read of a claim word is a
 // data race on every weakly-ordered target even when the test schedule

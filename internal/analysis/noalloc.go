@@ -9,7 +9,7 @@ import (
 
 // noallocDirective marks a function whose body must contain no allocating
 // construct. It turns the allocation-pin benchmarks of the hot paths
-// (seqlock slot writes, steal-loop claims, round-engine leaves) into a
+// (table slot writes, steal-loop claims, round-engine leaves) into a
 // compile-time contract: the pins prove a path allocated nothing on the
 // schedules measured, the directive keeps allocating constructs from
 // being written into it at all.

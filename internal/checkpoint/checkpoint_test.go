@@ -231,29 +231,35 @@ func mustRead(t *testing.T, path string) []byte {
 // version 1 format (the committed seed-v1-full image) does not restore —
 // Restore wraps ErrBadVersion — and a scrub pass quarantines the file by
 // rename, deleting nothing.
-func TestVersion1DirectoryRejected(t *testing.T) {
-	raw := string(mustRead(t, filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", "seed-v1-full")))
+func TestVersion1DirectoryRejected(t *testing.T) { checkRetiredVersionDir(t, "seed-v1-full") }
+
+// TestVersion2DirectoryRejected: the same for the retired version 2
+// format (24-byte face records), the committed seed-v2-full image.
+func TestVersion2DirectoryRejected(t *testing.T) { checkRetiredVersionDir(t, "seed-v2-full") }
+
+func checkRetiredVersionDir(t *testing.T, seed string) {
+	raw := string(mustRead(t, filepath.Join("testdata", "fuzz", "FuzzCheckpointDecode", seed)))
 	lit, ok := strings.CutPrefix(strings.TrimSpace(raw), "go test fuzz v1\n[]byte(")
-	v1, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	old, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
 	if !ok || err != nil {
-		t.Fatalf("seed-v1-full is not a corpus entry: %v", err)
+		t.Fatalf("%s is not a corpus entry: %v", seed, err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), []byte(v1), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Restore(dir); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("Restore(v1 dir) = %v, want ErrBadVersion", err)
+		t.Fatalf("Restore(%s dir) = %v, want ErrBadVersion", seed, err)
 	}
 	w, err := NewWriter(dir)
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
 	if res, err := w.Scrub(); err != nil || res.Quarantined != 1 || res.NewestOK {
-		t.Fatalf("Scrub(v1 dir) = %+v, %v; want the one file quarantined", res, err)
+		t.Fatalf("Scrub(%s dir) = %+v, %v; want the one file quarantined", seed, res, err)
 	}
-	if got := mustRead(t, filepath.Join(dir, ckptName(1)+badSuffix)); string(got) != v1 {
-		t.Fatal("quarantine changed the v1 file's bytes")
+	if got := mustRead(t, filepath.Join(dir, ckptName(1)+badSuffix)); string(got) != old {
+		t.Fatalf("quarantine changed the %s file's bytes", seed)
 	}
 }
 

@@ -279,15 +279,14 @@ func Decode(data []byte) (*delaunay.BuildState, Meta, Chain, error) {
 	if err != nil {
 		return nil, meta, ch, err
 	}
-	cnt, body, err = countedPayload("faces", pay, 24)
+	cnt, body, err = countedPayload("faces", pay, 16)
 	if err != nil {
 		return nil, meta, ch, err
 	}
 	st.Faces = makeNonEmpty[delaunay.FaceRec](cnt)
 	for i := range st.Faces {
-		st.Faces[i].Key = binary.LittleEndian.Uint64(body[24*i:])
-		st.Faces[i].W0 = binary.LittleEndian.Uint64(body[24*i+8:])
-		st.Faces[i].W1 = binary.LittleEndian.Uint64(body[24*i+16:])
+		st.Faces[i].Key = binary.LittleEndian.Uint64(body[16*i:])
+		st.Faces[i].W = binary.LittleEndian.Uint64(body[16*i+8:])
 	}
 
 	pay, err = d.nextFrame(fCand)

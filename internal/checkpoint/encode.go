@@ -117,12 +117,11 @@ func encodeFrames(st *delaunay.BuildState, meta Meta, ch Chain) [][]byte {
 	}
 	frames = append(frames, frame(fFinal, fin))
 
-	faces := make([]byte, 0, 8+24*len(st.Faces))
+	faces := make([]byte, 0, 8+16*len(st.Faces))
 	faces = le64(faces, uint64(len(st.Faces)))
 	for _, f := range st.Faces {
 		faces = le64(faces, f.Key)
-		faces = le64(faces, f.W0)
-		faces = le64(faces, f.W1)
+		faces = le64(faces, f.W)
 	}
 	frames = append(frames, frame(fFaces, faces))
 

@@ -54,9 +54,11 @@ const (
 	// format generation (bumped only on incompatible preamble changes).
 	magic = "RIDTCKP1"
 	// version is the frame-layout version within the magic's generation.
-	// Version 2 gave every image the one header frame; version 1 images
-	// (separate full and delta headers) are rejected as ErrBadVersion.
-	version = 2
+	// Version 2 gave every image the one header frame; version 3 cut a
+	// face record to 16 bytes (the face-map entry is one word). Images of
+	// version 1 (separate full and delta headers) and version 2 (24-byte
+	// face records) are rejected as ErrBadVersion.
+	version = 3
 
 	// maxFramePayload caps a single frame's declared length. Frames are
 	// never close to this in practice; the cap exists so corrupt or
@@ -74,7 +76,7 @@ const (
 	fEVal                     // concatenated encroacher lists
 	fDepth                    // per-triangle dependence depths
 	fFinal                    // final triangle ids, ascending
-	fFaces                    // face-map epoch snapshot records
+	fFaces                    // face-map snapshot records: key u64, entry word u64
 	fCand                     // candidate face keys for the next round
 	fFooter                   // completion marker (echoes the resulting log length)
 	numFrames = int(fFooter)

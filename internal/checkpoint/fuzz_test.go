@@ -22,8 +22,9 @@ import (
 //     have produced.
 //
 // The committed corpus (testdata/fuzz/FuzzCheckpointDecode) holds the
-// same shapes as the seeds below, plus a bad magic and seed-v1-full, a
-// complete image of the retired version 1 format.
+// same shapes as the seeds below, plus a bad magic and images of the
+// retired formats: seed-v1-full (version 1), and seed-v2-full and
+// seed-v2-delta, a root and a link of version 2 (24-byte face records).
 func FuzzCheckpointDecode(f *testing.F) {
 	// Root seeds: a valid image, a truncation, the first frame header
 	// alone, a bit flip, and the bare preamble shapes.

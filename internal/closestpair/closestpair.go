@@ -155,7 +155,7 @@ func DivideAndConquer(pts []geom.Point) Result {
 	}
 	// A genuine comparison sort, not a dedup/group-by: the strip algorithm
 	// needs total x-order, so neither a semisort nor the Delaunay
-	// round-stamp scheme applies here (and this is the sequential baseline
+	// pair-rule dedup applies here (and this is the sequential baseline
 	// on purpose). The incremental paths use the grid hash and never sort.
 	sort.Slice(idx, func(a, b int) bool { return pts[idx[a]].X < pts[idx[b]].X })
 	buf := make([]int32, n)

@@ -54,8 +54,8 @@ func runFaultedTriangulation(t *testing.T, pts []geom.Point, cfg fault.Config) (
 
 // TestRoundEngineSurvivesPhasePanics injects deaths at the Delaunay phase
 // boundaries only: every recovered death rolls the round back and the
-// retry must re-derive the identical round (stale dedup stamps and all —
-// see rollback.go's harmlessness argument).
+// retry must re-derive the identical round (rollback.go restores every
+// touched face's incident pair, all the emission dedup reads).
 func TestRoundEngineSurvivesPhasePanics(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(31), 1500))
 	want := ParTriangulate(pts)

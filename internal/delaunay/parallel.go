@@ -21,43 +21,47 @@ import (
 //   Phase A     — read-only: compute every new triangle's corners and
 //                 encroacher list (carved from per-block E sub-arenas).
 //   Phase B     — install the new triangles into the face map and record
-//                 each fire's three touched faces in dense emission slots;
-//                 every touch stamps the face with (round, min fire index)
-//                 through the same face-map update (the CAS-claimed
-//                 round-stamp).
-//   Emission    — the sort-free candidate dedup: a face touched from both
-//                 sides this round carries the smaller toucher's fire index
-//                 in its claim stamp, so exactly the slot of that winner
-//                 survives the flag pass, and PackInto yields next round's
-//                 candidate list with no sort and no merge. Min over
-//                 touchers is schedule-independent, so the candidate order
-//                 — and with it triangle ids and the whole output — is
-//                 deterministic.
+//                 each fire's three touched faces in dense emission slots
+//                 (fire k: slots 3k..3k+2, triangle id base+k).
+//   Emission    — the sort-free candidate dedup: a face has at most two
+//                 touchers per round, both ids in its entry, and only the
+//                 smaller fire's slot survives the flag pass
+//                 (faceEntry.kept); PackInto yields next round's candidate
+//                 list with no sort and no merge. The winner is
+//                 schedule-independent, so the candidate order — and with
+//                 it triangle ids and the whole output — is deterministic.
 
-// faceEntry is a face's up-to-two incident triangles plus its dedup stamp
-// in the concurrent face map. It encodes into two 64-bit words, so the
-// face map is a hashtable.LockFreeInline and winning updates allocate
-// nothing.
+// faceEntry is a face's up-to-two incident triangles in the concurrent
+// face map. It encodes into one 64-bit word, so the face map is a
+// hashtable.LockFreeInline and winning updates allocate nothing.
 type faceEntry struct {
 	t0, t1 int32 // incident triangles (t1 == NoTri: waiting or hull face)
-	round  int32 // last round this face was touched
-	claim  int32 // smallest fire index that touched it in that round
 }
 
 //
 //ridt:noalloc
-func encFace(e faceEntry) (uint64, uint64) {
-	return uint64(uint32(e.t0))<<32 | uint64(uint32(e.t1)),
-		uint64(uint32(e.round))<<32 | uint64(uint32(e.claim))
+func encFace(e faceEntry) uint64 {
+	return uint64(uint32(e.t0))<<32 | uint64(uint32(e.t1))
 }
 
 //
 //ridt:noalloc
-func decFace(a, b uint64) faceEntry {
-	return faceEntry{
-		t0: int32(uint32(a >> 32)), t1: int32(uint32(a)),
-		round: int32(uint32(b >> 32)), claim: int32(uint32(b)),
+func decFace(w uint64) faceEntry {
+	return faceEntry{t0: int32(uint32(w >> 32)), t1: int32(uint32(w))}
+}
+
+// kept reports whether emission keeps the slot of the fire that touched
+// this face with triangle id, in the round whose ids start at base: it
+// does unless the other triangle is a smaller id of this round (earlier
+// rounds' ids and NoTri lie below base).
+//
+//ridt:noalloc
+func (e faceEntry) kept(id, base int32) bool {
+	other := e.t0
+	if other == id {
+		other = e.t1
 	}
+	return other < base || other > id
 }
 
 // Grains of the cheap per-element phases; the heavy retriangulation phases
@@ -100,7 +104,7 @@ type roundEngine struct {
 
 // newFaceMap returns the round engine's face map for a run over n points,
 // sized for at least the given number of faces. The face map is the hot
-// path: a lock-free table with seqlock inline value slots (see
+// path: a lock-free table with one-word inline value slots (see
 // hashtable/DESIGN.md), so the attachment storm of a round performs no
 // allocation. The identity hasher suffices: the table applies its own
 // finalizing Mix64 to spread packed face keys. The 8n+16 pre-size covers
@@ -125,28 +129,19 @@ func newRoundEngine(pts []geom.Point) *roundEngine {
 	return e
 }
 
-// attachNewFace registers triangle id on new face fk2 and stamps the
-// face's (round, claim-min) dedup claim through the same update. Of the
-// up-to-two fires that touch a face in one round, the face ends up
-// carrying the smaller fire index, no matter the interleaving — min is
-// commutative — which is what makes the sort-free dedup deterministic.
-// Factored out of step so the contention race test can drive it directly.
+// attachNewFace registers triangle id on new face fk2: it creates the
+// entry, or joins it as t1 when the fire on the face's other side (this
+// round or an earlier one) created it. Factored out of step so the
+// contention race test can drive it directly.
 //
 //ridt:noalloc
-func attachNewFace(faces *hashtable.LockFreeInline[uint64, faceEntry], fk2 uint64, id, round, k int32) {
+func attachNewFace(faces *hashtable.LockFreeInline[uint64, faceEntry], fk2 uint64, id int32) {
 	//ridtvet:ignore noalloc the closure does not escape Update and stays on the stack (round allocation pin)
 	faces.Update(fk2, func(old faceEntry, ok bool) faceEntry {
 		if !ok {
-			return faceEntry{t0: id, t1: NoTri, round: round, claim: k}
+			return faceEntry{t0: id, t1: NoTri}
 		}
 		old.t1 = id
-		if old.round == round {
-			if k < old.claim {
-				old.claim = k
-			}
-		} else {
-			old.round, old.claim = round, k
-		}
 		return old
 	})
 }
@@ -227,7 +222,6 @@ func (e *roundEngine) step() bool {
 	// Mutation section: arm the rollback snapshot, then move the round.
 	e.arm(m)
 	e.round++
-	round := e.round
 	s.stats.Rounds++
 
 	// Phase A (parallel, read-only on shared state; advances the arenas).
@@ -282,12 +276,11 @@ func (e *roundEngine) step() bool {
 		for k := lo; k < hi; k++ {
 			f := fires[k]
 			id := base + int32(k)
-			k32 := int32(k)
 			v := newTris[k].V
 			// The ripped face now borders the new triangle instead of t.
 			// It fired, so it already has both triangles and cannot be
 			// touched as a new face this round: this fire is its only
-			// toucher and wins its stamp outright.
+			// toucher.
 			//ridtvet:ignore noalloc the closure does not escape Update and stays on the stack (round allocation pin)
 			faces.Update(f.fk, func(old faceEntry, ok bool) faceEntry {
 				if old.t0 == f.t {
@@ -295,7 +288,6 @@ func (e *roundEngine) step() bool {
 				} else {
 					old.t1 = id
 				}
-				old.round, old.claim = round, k32
 				return old
 			})
 			dense[3*k] = f.fk
@@ -304,14 +296,14 @@ func (e *roundEngine) step() bool {
 			}
 			// Register the two new faces of t'. A new face may be touched
 			// by the fire on its other side in the same round (created
-			// there, attached here, in either order) — the claim-min stamp
-			// picks the winner deterministically.
+			// there, attached here, in either order); emission keeps the
+			// smaller fire's slot.
 			a, b := faceEnds(f.fk)
 			apex := v[0] + v[1] + v[2] - a - b
 			nf0, nf1 := faceKey(a, apex), faceKey(b, apex)
 			dense[3*k+1], dense[3*k+2] = nf0, nf1
-			attachNewFace(faces, nf0, id, round, k32)
-			attachNewFace(faces, nf1, id, round, k32)
+			attachNewFace(faces, nf0, id)
+			attachNewFace(faces, nf1, id)
 		}
 	})
 	if fault.Enabled {
@@ -322,15 +314,15 @@ func (e *roundEngine) step() bool {
 	}
 
 	// Emission: keep exactly each touched face's winning slot. The flag
-	// pass linearizes after Phase B's barrier, so every load observes the
-	// face's final (round, claim) stamp for this round.
+	// pass runs after Phase B's barrier, so every load observes both of
+	// the face's touchers.
 	ar.keep = growSlice(ar.keep, 3*m)
 	keep := ar.keep
 	//ridtvet:ignore noalloc one emission closure per round, O(1) against O(m) work
 	parallel.Blocks(0, 3*m, emissionGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ent, _ := faces.Load(dense[i])
-			keep[i] = ent.round == round && ent.claim == int32(i/3)
+			keep[i] = ent.kept(base+int32(i/3), base)
 		}
 	})
 	next, counts := parallel.PackInto(ar.cand, dense,

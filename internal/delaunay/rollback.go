@@ -38,17 +38,8 @@ import "repro/internal/geom"
 //     re-pointed to id; each of the two tent faces is deleted if this
 //     attach created it (t0 == id) or has its t1 reset to NoTri if this
 //     attach joined an existing entry. Un-processed fires match nothing
-//     and no-op.
-//
-// Dedup stamps ((round, claim) pairs) written by an abandoned attempt are
-// NOT rolled back, and need not be: the retry re-runs the identical fire
-// set under the same round number, every retried touch rewrites its
-// face's stamp through the same min-claim update, and the stale claims
-// are a subset of the retry's own claim values — the min over the same
-// set is unchanged. Stamps on faces the retry never touches cannot exist
-// (identical fire set ⇒ identical touched faces). Deleted tent faces are
-// value-level tombstones; the retry's attach re-creates them with fresh
-// stamps.
+//     and no-op. Deleted tent faces are value-level tombstones; the
+//     retry's attach re-creates them.
 
 // i32mark is a saved (chunk, offset) cursor of an i32arena.
 type i32mark struct{ ci, pos int }

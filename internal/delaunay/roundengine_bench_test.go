@@ -1,7 +1,7 @@
 package delaunay
 
-// A-B ablations for the round engine's three changes (ISSUE 5): the
-// parallel activation filter vs the serial scan, the round-stamp dedup vs
+// A-B ablations for the round engine's three changes: the
+// parallel activation filter vs the serial scan, the pair-rule dedup vs
 // the sorted merge, and the arena-carved round scratch
 // vs per-triangle makes. Results are recorded in BENCH_delaunay.json and
 // the delaunay families are gated by cmd/benchgate in CI.
@@ -103,21 +103,24 @@ func BenchmarkDelaunayRoundActivation(b *testing.B) {
 }
 
 // benchDense builds a synthetic round's touched-face stream: 3 slots per
-// fire, where each new face appears in two fires' slots with probability
-// dup (the both-sides-touched case the dedup exists for).
+// fire, the ripped face first. Each of a fire's two new-face slots joins,
+// with probability dup, a face the previous fire created and no fire has
+// joined yet (the both-sides-touched case the dedup exists for), so no
+// face gets more than the two touchers a real round allows.
 func benchDense(m int, dup float64) []uint64 {
 	r := rng.New(uint64(m))
 	dense := make([]uint64, 3*m)
 	next := uint64(1)
+	var open [2]uint64 // the previous fire's new faces still joinable (0: none)
 	for k := 0; k < m; k++ {
 		dense[3*k] = next // ripped face: unique
 		next++
+		prev := open
 		for j := 1; j <= 2; j++ {
-			if k > 0 && r.Float64() < dup {
-				// Duplicate one of the previous fire's new faces.
-				dense[3*k+j] = dense[3*(k-1)+1+int(r.Uint64()%2)]
+			if o := &prev[r.Uint64()%2]; *o != 0 && r.Float64() < dup {
+				dense[3*k+j], open[j-1], *o = *o, 0, 0
 			} else {
-				dense[3*k+j] = next
+				dense[3*k+j], open[j-1] = next, next
 				next++
 			}
 		}
@@ -126,11 +129,10 @@ func benchDense(m int, dup float64) []uint64 {
 }
 
 // BenchmarkDelaunayRoundDedup compares the candidate dedup schemes over
-// the same touched-face stream: the shipped round-stamp flag pass + pack
-// (the stamp writes themselves ride the face-attachment updates the round
-// performs anyway, so they are prepaid here) and the sorted merge the
-// engine used before. This is the ablation that decided what ships — see
-// DESIGN.md.
+// the same touched-face stream: the shipped pair-rule flag pass + pack
+// (it reads the incident triangles the face-attachment updates write
+// anyway) and the sorted merge the engine used before. This is the
+// ablation that decided what ships — see DESIGN.md.
 func BenchmarkDelaunayRoundDedup(b *testing.B) {
 	const m = 1 << 13
 	dense := benchDense(m, 0.5)
@@ -147,14 +149,19 @@ func BenchmarkDelaunayRoundDedup(b *testing.B) {
 			}
 		}
 	})
-	b.Run(fmt.Sprintf("scheme=stamp/m=%d", m), func(b *testing.B) {
-		// Prepare the stamped face map as Phase B leaves it: every touched
-		// face carries (round, min toucher slot).
-		faces := newFaceMap(0, len(dense)*2)
-		const round = int32(1)
+	b.Run(fmt.Sprintf("scheme=pair/m=%d", m), func(b *testing.B) {
+		// Prepare the face map as Phase B leaves it: a ripped face holds
+		// an older triangle and its fire's, a new face its one or two
+		// touchers' ids.
+		faces := newFaceMap(0, len(dense))
+		const base = int32(1)
 		for i, fk := range dense {
-			k := int32(i / 3)
-			attachNewFace(faces, fk, k, round, k)
+			id := base + int32(i/3)
+			if i%3 == 0 {
+				faces.Store(fk, faceEntry{t0: 0, t1: id})
+			} else {
+				attachNewFace(faces, fk, id)
+			}
 		}
 		keep := make([]bool, len(dense))
 		var cand []uint64
@@ -164,11 +171,15 @@ func BenchmarkDelaunayRoundDedup(b *testing.B) {
 			parallel.Blocks(0, len(dense), emissionGrain, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					ent, _ := faces.Load(dense[i])
-					keep[i] = ent.round == round && ent.claim == int32(i/3)
+					keep[i] = ent.kept(base+int32(i/3), base)
 				}
 			})
 			cand, counts = parallel.PackInto(cand, dense,
 				func(i int) bool { return keep[i] }, counts)
+		}
+		b.StopTimer()
+		if len(cand) != faces.Snapshot().Len() {
+			b.Fatalf("pair dedup kept %d slots for %d faces", len(cand), faces.Snapshot().Len())
 		}
 	})
 }

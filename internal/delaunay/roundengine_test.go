@@ -1,8 +1,8 @@
 package delaunay
 
-// Tests for the round engine's new machinery: the round-stamp claim dedup
-// under forced contention, the determinism it buys, the faceEntry codec,
-// the arena allocators, and the steady-state allocation pins. The
+// Tests for the round engine's new machinery: the pair-rule candidate
+// dedup under forced contention, the determinism it buys, the faceEntry
+// codec, the arena allocators, and the steady-state allocation pins. The
 // black-box equivalence suite (delaunay_test.go, unmodified) remains the
 // primary correctness oracle.
 
@@ -20,68 +20,131 @@ func TestFaceEntryCodec(t *testing.T) {
 	cases := []faceEntry{
 		{},
 		{t0: 0, t1: NoTri},
-		{t0: 1, t1: 2, round: 3, claim: 4},
-		{t0: 1<<31 - 1, t1: NoTri, round: 1<<31 - 1, claim: -1},
-		{t0: -1, t1: -2, round: -3, claim: -4},
+		{t0: 1, t1: 2},
+		{t0: 1<<31 - 1, t1: NoTri},
+		{t0: -1, t1: -2},
 	}
 	for _, e := range cases {
-		a, b := encFace(e)
-		if got := decFace(a, b); got != e {
+		if got := decFace(encFace(e)); got != e {
 			t.Fatalf("codec roundtrip: %+v -> %+v", e, got)
 		}
 	}
 }
 
-// TestRoundStampClaimRace forces multi-winner contention on the claim
-// stamp: many goroutines touch the same faces in the same round (the
-// production engine has at most two touchers per face; here every fire
-// index hits every face). After each round's barrier, every face must
-// carry the minimum toucher index — i.e. exactly one deterministic winner
-// — regardless of interleaving. Run under -race by the CI race job.
-func TestRoundStampClaimRace(t *testing.T) {
-	const nfaces = 64
-	touchers := 4 * runtime.GOMAXPROCS(0)
-	if touchers < 8 {
-		touchers = 8
-	}
+// TestRoundDedupPairRace drives the emission dedup under contention at
+// the production bound of two touchers per face. Each synthetic round has
+// m fires with triangle ids base+k; fire k rips one face of two earlier
+// triangles and attaches two new faces. The new faces chain the fires in
+// groups of four: fire k's second face is fire k+1's first, so it is
+// created by one fire and joined by its neighbour, in whichever order the
+// workers run them (odd rounds hand out the fires in descending order, so a
+// single worker creates from each side in turn). Between groups the chain
+// is cut: the group's last fire creates its second face alone, and it
+// waits for the next round, whose group-first fire joins a face left
+// waiting by the previous round. All of a round's touches race at grain 1.
+// After the barrier, every face must hold its touchers' ids and exactly
+// one slot per face must be kept: the smaller fire's. Run under -race by
+// the CI matrix.
+func TestRoundDedupPairRace(t *testing.T) {
+	const m, group = 256, 4
 	rounds := 40
 	if testing.Short() {
 		rounds = 10
 	}
-	faces := newFaceMap(0, 2*nfaces)
-	for r := int32(1); r <= int32(rounds); r++ {
-		// Offset the winning index each round so stale stamps from the
-		// previous round would be caught.
-		minK := r % 5
-		// Grain 1 over the full (face, toucher) cross product: maximal
-		// interleaving of same-face updates.
-		parallel.ForGrain(0, nfaces*touchers, 1, func(i int) {
-			fk := uint64(i%nfaces) + 1
-			k := int32(i/nfaces) + minK
-			attachNewFace(faces, fk, int32(i), r, k)
-		})
-		for f := 0; f < nfaces; f++ {
-			ent, ok := faces.Load(uint64(f) + 1)
-			if !ok {
-				t.Fatalf("round %d: face %d missing", r, f)
+	faces := newFaceMap(0, m) // the rounds' Reserves grow it
+	key := uint64(0)
+	fresh := func() uint64 { key++; return key }
+	base := int32(1000) // ids below base belong to earlier rounds
+	var waiting []uint64
+	for k := 0; k < m/group; k++ {
+		fk := fresh()
+		faces.Store(fk, faceEntry{t0: int32(k), t1: NoTri})
+		waiting = append(waiting, fk)
+	}
+	dense := make([]uint64, 3*m)
+	ripped := make([]int32, m) // the triangle each fire replaces on its ripped face
+	for r := 0; r < rounds; r++ {
+		faces.Reserve(3 * m)
+		var left []uint64 // faces this round leaves waiting
+		for k := 0; k < m; k++ {
+			fk := fresh()
+			old := faceEntry{t0: base - 1 - int32(k), t1: base - 1 - int32(m+k)}
+			faces.Store(fk, old)
+			ripped[k] = old.t0
+			if k%2 == 1 {
+				ripped[k] = old.t1
 			}
-			if ent.round != r || ent.claim != minK {
-				t.Fatalf("round %d: face %d stamp = (round %d, claim %d), want (%d, %d)",
-					r, f, ent.round, ent.claim, r, minK)
+			dense[3*k] = fk
+			if k%group == 0 {
+				dense[3*k+1] = waiting[k/group]
+			} else {
+				dense[3*k+1] = dense[3*(k-1)+2]
 			}
-			// Exactly one winner: the claim equals exactly one toucher's
-			// index (indices are distinct), so the emission flag pass keeps
-			// exactly one slot per face.
-			winners := 0
-			for k := int32(0); k < int32(touchers); k++ {
-				if ent.claim == k+minK {
-					winners++
-				}
-			}
-			if winners != 1 {
-				t.Fatalf("round %d: face %d has %d winners", r, f, winners)
+			dense[3*k+2] = fresh()
+			if k%group == group-1 {
+				left = append(left, dense[3*k+2])
 			}
 		}
+		parallel.ForGrain(0, 3*m, 1, func(i int) {
+			k := i / 3
+			if r%2 == 1 {
+				k = m - 1 - k
+			}
+			id := base + int32(k)
+			if j := i % 3; j == 0 {
+				// Phase B's rip: the fire's triangle replaces the ripped one.
+				faces.Update(dense[3*k], func(old faceEntry, _ bool) faceEntry {
+					if old.t0 == ripped[k] {
+						old.t0 = id
+					} else {
+						old.t1 = id
+					}
+					return old
+				})
+			} else {
+				attachNewFace(faces, dense[3*k+j], id)
+			}
+		})
+
+		// Every face's touchers this round, in slot order.
+		touched := map[uint64][]int{}
+		for i, fk := range dense {
+			touched[fk] = append(touched[fk], i)
+		}
+		for fk, slots := range touched {
+			if len(slots) > 2 {
+				t.Fatalf("round %d: face %d has %d touchers, the bound is 2", r, fk, len(slots))
+			}
+			ent, ok := faces.Load(fk)
+			if !ok {
+				t.Fatalf("round %d: face %d missing", r, fk)
+			}
+			for _, i := range slots {
+				if id := base + int32(i/3); ent.t0 != id && ent.t1 != id {
+					t.Fatalf("round %d: face %d = %+v lacks toucher %d", r, fk, ent, id)
+				}
+			}
+			kept := -1
+			for _, i := range slots {
+				if ent.kept(base+int32(i/3), base) {
+					if kept >= 0 {
+						t.Fatalf("round %d: face %d = %+v keeps slots %d and %d", r, fk, ent, kept, i)
+					}
+					kept = i
+				}
+			}
+			if kept != slots[0] {
+				t.Fatalf("round %d: face %d = %+v keeps slot %d, want %d (the smaller fire's)",
+					r, fk, ent, kept, slots[0])
+			}
+		}
+		for _, fk := range left {
+			if ent, _ := faces.Load(fk); ent.t1 != NoTri {
+				t.Fatalf("round %d: face %d = %+v, want one triangle (waiting)", r, fk, ent)
+			}
+		}
+		waiting = left
+		base += int32(m)
 	}
 }
 
@@ -155,17 +218,16 @@ func TestI32Arena(t *testing.T) {
 
 // TestFaceMapUpdateNoAlloc pins the inline-slot payoff on the actual face
 // map value type: the Phase B updates (rip replacement and new-face
-// attachment with the claim stamp) allocate nothing.
+// attachment) and the emission load allocate nothing.
 func TestFaceMapUpdateNoAlloc(t *testing.T) {
 	faces := newFaceMap(0, 1024)
 	for i := uint64(1); i <= 256; i++ {
 		faces.Store(i, faceEntry{t0: int32(i), t1: NoTri})
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		attachNewFace(faces, 7, 42, 3, 5)
+		attachNewFace(faces, 7, 42)
 		faces.Update(9, func(old faceEntry, ok bool) faceEntry {
 			old.t0 = 11
-			old.round, old.claim = 3, 5
 			return old
 		})
 		faces.Load(13)

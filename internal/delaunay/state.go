@@ -40,12 +40,12 @@ import (
 // serializer may read them from another goroutine while the build runs.
 
 // FaceRec is one face-map entry in captured form: the packed face key and
-// the entry's two inline value words exactly as the lock-free table
-// stores them (incident triangles + dedup stamp). The words are opaque to
-// serializers; ResumeLive decodes and validates them.
+// the entry's inline value word exactly as the lock-free table stores it
+// (the two incident triangles). The word is opaque to serializers;
+// ResumeLive decodes and validates it.
 type FaceRec struct {
-	Key    uint64
-	W0, W1 uint64
+	Key uint64
+	W   uint64
 }
 
 // BuildState is a resumable snapshot of a triangulation under
@@ -105,8 +105,7 @@ func (lv *Live) CaptureState() *BuildState {
 	// rollback deletes faces, so it is exact or a few tombstones over.
 	st.Faces = make([]FaceRec, 0, e.faces.Claimed())
 	e.faces.Snapshot().Range(func(k uint64, v faceEntry) bool {
-		w0, w1 := encFace(v)
-		st.Faces = append(st.Faces, FaceRec{Key: k, W0: w0, W1: w1})
+		st.Faces = append(st.Faces, FaceRec{Key: k, W: encFace(v)})
 		return true
 	})
 	return st
@@ -278,7 +277,7 @@ func (st *BuildState) Validate() error {
 		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
 			return fmt.Errorf("delaunay: face key %#x has bad endpoints (%d, %d)", f.Key, a, b)
 		}
-		ent := decFace(f.W0, f.W1)
+		ent := decFace(f.W)
 		if ent.t0 < 0 || int(ent.t0) >= nt {
 			return fmt.Errorf("delaunay: face %#x references triangle %d out of range", f.Key, ent.t0)
 		}
@@ -326,7 +325,7 @@ func ResumeLive(st *BuildState) (*Live, error) {
 
 	faces := newFaceMap(st.N, len(st.Faces))
 	for _, f := range st.Faces {
-		faces.Store(f.Key, decFace(f.W0, f.W1))
+		faces.Store(f.Key, decFace(f.W))
 	}
 
 	e := &roundEngine{

@@ -206,7 +206,7 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 			t.Fatal("no non-final triangle in a mid-build capture")
 		},
 		"face triangle out of range": func(st *BuildState) {
-			st.Faces[0].W0 = uint64(uint32(int32(len(st.Tris)))) << 32
+			st.Faces[0].W = encFace(faceEntry{t0: int32(len(st.Tris)), t1: NoTri})
 		},
 		"face endpoint out of range": func(st *BuildState) {
 			st.Faces[0].Key = uint64(uint32(st.N+5))<<32 | uint64(uint32(st.N+6))

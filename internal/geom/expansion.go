@@ -253,8 +253,10 @@ func inWindow(x float64) bool {
 // and an infinite x can be the overflow of two finite coordinates; the
 // filters' forward error bounds hold in neither case. A NaN difference
 // comes only from a non-finite coordinate, which is outside the
-// predicates' contract and keeps the filters' answer (so a NaN query
-// cannot reach big.Rat, which panics on it).
+// predicates' contract and keeps a filter's answer when the filter gives
+// one: Orient2D's answers 0, while InCircle's cannot certify a NaN
+// determinant. Non-finite input the filters pass on reaches the exact
+// fallbacks, which answer 0 for it.
 //
 //ridt:noalloc
 func filterable(x float64) bool {

@@ -166,7 +166,22 @@ func sign(x float64) int {
 
 func rat(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
 
+// finite reports whether every coordinate of ps is finite. A NaN or an
+// infinity has no big.Rat value, so the exact fallbacks answer 0 for such
+// input, the answer Orient2D's filter already gives a NaN.
+func finite(ps ...Point) bool {
+	for _, p := range ps {
+		if p.X-p.X != 0 || p.Y-p.Y != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func orient2DExact(a, b, c Point) int {
+	if !finite(a, b, c) {
+		return 0
+	}
 	acx := new(big.Rat).Sub(rat(a.X), rat(c.X))
 	bcy := new(big.Rat).Sub(rat(b.Y), rat(c.Y))
 	acy := new(big.Rat).Sub(rat(a.Y), rat(c.Y))
@@ -224,6 +239,9 @@ func InCircleStats(a, b, c, d Point, st *PredicateStats) int {
 }
 
 func inCircleExact(a, b, c, d Point) int {
+	if !finite(a, b, c, d) {
+		return 0
+	}
 	adx := new(big.Rat).Sub(rat(a.X), rat(d.X))
 	ady := new(big.Rat).Sub(rat(a.Y), rat(d.Y))
 	bdx := new(big.Rat).Sub(rat(b.X), rat(d.X))

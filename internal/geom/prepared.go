@@ -96,13 +96,20 @@ func PrepareCircle(a, b, c Point) PreparedCircle {
 func (pc *PreparedCircle) InCircleStats(d Point, st *PredicateStats) int {
 	dx, dy := d.X-pc.c.X, d.Y-pc.c.Y
 	if pc.ok && inWindow(dx) && inWindow(dy) {
-		ld := dx*dx + dy*dy
-		det := (dx*pc.p + dy*pc.q) + ld*pc.r
-		permanent := (math.Abs(dx)*pc.pp + math.Abs(dy)*pc.qp) + ld*pc.rp
+		det, permanent := pc.filter(dx, dy)
 		if errBound := preparedBound * permanent; det > errBound || -det > errBound {
 			st.addInCircle(false)
 			return sign(det)
 		}
 	}
 	return InCircleStats(pc.a, pc.b, pc.c, d, st)
+}
+
+// filter returns the filter's determinant and permanent for the query
+// d' = (dx, dy) = d - c.
+//
+//ridt:noalloc
+func (pc *PreparedCircle) filter(dx, dy float64) (det, permanent float64) {
+	ld := dx*dx + dy*dy
+	return (dx*pc.p + dy*pc.q) + ld*pc.r, (math.Abs(dx)*pc.pp + math.Abs(dy)*pc.qp) + ld*pc.rp
 }

@@ -24,8 +24,8 @@ func benchTables(capacity int) map[string]func() Table[uint64, int64] {
 		},
 		"inline": func() Table[uint64, int64] {
 			return NewLockFreeInline[uint64, int64](capacity, hash,
-				func(v int64) (uint64, uint64) { return uint64(v), 0 },
-				func(a, _ uint64) int64 { return int64(a) })
+				func(v int64) uint64 { return uint64(v) },
+				func(w uint64) int64 { return int64(w) })
 		},
 	}
 }

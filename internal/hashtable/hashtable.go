@@ -4,7 +4,7 @@
 // The paper's parallel algorithms assume a work-efficient parallel hash
 // table (Gil, Matias & Vishkin). LockFreeInline is that table: a
 // phase-concurrent open-addressing table with CAS-claimed linear-probing
-// slots and seqlock inline value slots for small POD values, so no write
+// slots and one-word inline value slots for small POD values, so no write
 // allocates. A table admits the capacity it was built for; Reserve, a
 // phase operation, grows it between phases. Snapshot gives readers an
 // O(1) pinned view while writers keep running (snap.go). The tests check

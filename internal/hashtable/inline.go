@@ -14,10 +14,10 @@ import (
 // with a CAS on its state word (empty -> busy -> full); once full, a slot's
 // key never changes and the slot is never freed, so probe chains only grow
 // and a probe that reaches an empty slot has proven absence. The value
-// lives inline in the slot: two 64-bit words guarded by a per-slot seqlock
-// (a codec supplied at construction maps V to and from the words), so no
-// write path allocates. Deletion is a value-level tombstone that keeps the
-// probe chain intact.
+// lives inline in the slot: one 64-bit word guarded by a per-slot lock
+// word (a codec supplied at construction maps V to and from the word), so
+// no write path allocates. Deletion is a value-level tombstone that keeps
+// the probe chain intact.
 //
 // Growth: Reserve, a phase operation, is the one growth point. When the
 // claim count plus the keys a phase may add would pass the load limit, it
@@ -25,53 +25,53 @@ import (
 // parallel pool and swaps the root. Mutators never grow the table: a
 // claim past the limit panics, naming Reserve.
 //
-// Seqlock cell. Each full slot carries a 32-bit meta word and two value
-// words (w0, w1):
+// Slot cell. Each full slot carries a 32-bit meta word of flags and one
+// value word:
 //
-//   - Readers load meta, then the words, then meta again; a stable,
-//     unlocked meta means the words are a consistent snapshot.
+//   - Readers load meta, then the word, then meta again; an unlocked meta
+//     with the same flags at both ends means the word is a value the
+//     flags' state held at some instant of the read.
 //   - Writers claim the slot's write lock with one CAS on meta (the low
-//     bit), mutate the words, and release by storing meta with the
-//     sequence bumped — readers that overlapped retry. Writers on the
-//     same slot exclude each other (a per-slot spinlock), which is what
-//     lets an update callback run exactly once, with no CAS-retry purity
-//     hazards; readers never block writers and spin only while a write is
-//     in flight (the same bounded window as the slotBusy spin). All word
-//     accesses are atomic loads/stores, so the seqlock is race-detector
-//     clean.
+//     bit), store the word, and release by storing the new flags.
+//     Writers on the same slot exclude each other (a per-slot spinlock),
+//     which is what lets an update callback run exactly once, with no
+//     CAS-retry purity hazards; readers never block writers and spin only
+//     while a write is in flight (the same bounded window as the slotBusy
+//     spin). All word accesses are atomic loads/stores, so the cell is
+//     race-detector clean.
 //
-// The sequence field wraps after 2^29 writes to one slot; a reader would
-// have to sleep across exactly that many writes to be fooled (the
-// standard seqlock caveat, irrelevant at these lifetimes).
+// Meta carries no sequence count, so a write that lands between a
+// reader's two meta loads and leaves the flags as they were passes the
+// check. That is safe because the value is one word, read by one atomic
+// load: the reader gets a whole value, published inside its read (see
+// DESIGN.md).
 
 // Slot states. Transitions: empty -> busy -> full (claim). Full slots stay
 // full.
 const (
 	slotEmpty uint32 = iota
 	slotBusy         // key being published by a claimer
-	slotFull         // key readable; meta and words hold the rest of the state
+	slotFull         // key readable; meta and the word hold the rest of the state
 )
 
 // Meta flags.
 const (
-	imLock  uint32 = 1 << 0 // writer holds the slot
-	imHas   uint32 = 1 << 1 // a value or tombstone has been published
-	imDel   uint32 = 1 << 2 // tombstone: key present in chain, mapping absent
-	imFlags uint32 = imLock | imHas | imDel
-	imSeq   uint32 = 1 << 3 // lowest sequence bit; bumped on every publish
+	imLock uint32 = 1 << 0 // writer holds the slot
+	imHas  uint32 = 1 << 1 // a value or tombstone has been published
+	imDel  uint32 = 1 << 2 // tombstone: key present in chain, mapping absent
 )
 
 type inSlot[K comparable] struct {
-	state  atomic.Uint32 // slotEmpty/slotBusy/slotFull
-	meta   atomic.Uint32 // seqlock word: sequence | flags
-	key    K
-	w0, w1 atomic.Uint64 // encoded value, valid per the meta protocol
+	state atomic.Uint32 // slotEmpty/slotBusy/slotFull
+	meta  atomic.Uint32 // lock word: imLock|imHas|imDel flags
+	key   K
+	w     atomic.Uint64 // encoded value, valid per the meta protocol
 }
 
-// read returns a consistent (meta, w0, w1) snapshot of the slot.
+// read returns a consistent (meta, word) snapshot of the slot.
 //
 //ridt:noalloc
-func (sl *inSlot[K]) read() (m uint32, a, b uint64) {
+func (sl *inSlot[K]) read() (m uint32, w uint64) {
 	for {
 		m = sl.meta.Load()
 		if m&imLock != 0 {
@@ -79,11 +79,11 @@ func (sl *inSlot[K]) read() (m uint32, a, b uint64) {
 			continue
 		}
 		if m&imHas == 0 {
-			return m, 0, 0 // no published words to read
+			return m, 0 // no published word to read
 		}
-		a, b = sl.w0.Load(), sl.w1.Load()
+		w = sl.w.Load()
 		if sl.meta.Load() == m {
-			return m, a, b
+			return m, w
 		}
 	}
 }
@@ -109,13 +109,11 @@ func (sl *inSlot[K]) lock() uint32 {
 	}
 }
 
-// publish releases the write lock with new flags and a bumped sequence.
-// Words must have been stored before the call.
+// publish releases the write lock with new flags. The word must have been
+// stored before the call.
 //
 //ridt:noalloc
-func (sl *inSlot[K]) publish(m, flags uint32) {
-	sl.meta.Store(((m &^ imFlags) + imSeq) | flags)
-}
+func (sl *inSlot[K]) publish(flags uint32) { sl.meta.Store(flags) }
 
 type inTable[K comparable] struct {
 	slots  []inSlot[K]
@@ -146,7 +144,7 @@ func slotsFor(keys int) int { return keys*4/3 + 1 }
 const overfull = "hashtable: LockFreeInline claim past its load limit; Reserve room for a phase's new keys before the phase"
 
 // LockFreeInline is a lock-free, phase-concurrent hash table for values
-// that encode into two 64-bit words (small PODs). Any mix of
+// that encode into one 64-bit word (small PODs). Any mix of
 // Load/Store/Delete/Update may run from any number of goroutines, and
 // snapshots may be opened and read at any time. Reserve, the one growth
 // point, is a phase operation that must not run concurrently with
@@ -162,8 +160,8 @@ const overfull = "hashtable: LockFreeInline claim past its load limit; Reserve r
 type LockFreeInline[K comparable, V any] struct {
 	phaseDebug
 	hash Hasher[K]
-	enc  func(V) (uint64, uint64)
-	dec  func(uint64, uint64) V
+	enc  func(V) uint64
+	dec  func(uint64) V
 	cur  atomic.Pointer[inTable[K]]
 }
 
@@ -171,7 +169,7 @@ type LockFreeInline[K comparable, V any] struct {
 // fit without Reserve. enc/dec are the value codec; they must be pure
 // inverses (dec(enc(v)) == v for every stored v).
 func NewLockFreeInline[K comparable, V any](capacity int, hash Hasher[K],
-	enc func(V) (uint64, uint64), dec func(uint64, uint64) V) *LockFreeInline[K, V] {
+	enc func(V) uint64, dec func(uint64) V) *LockFreeInline[K, V] {
 	h := &LockFreeInline[K, V]{hash: hash, enc: enc, dec: dec}
 	h.cur.Store(newInTable[K](slotsFor(capacity)))
 	return h
@@ -247,9 +245,9 @@ func (h *LockFreeInline[K, V]) Load(k K) (V, bool) {
 }
 
 // loadFrom is Load against a caller-pinned table; snapshots read through
-// it. Every value read goes through the validated seqlock read, so a
-// snapshot reader racing a writer storm can spin but never observe torn
-// words.
+// it. Every value read goes through the validated slot read, so a
+// snapshot reader racing a writer storm can spin but never observe a
+// value no writer wrote.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) loadFrom(t *inTable[K], k K) (V, bool) {
@@ -259,11 +257,11 @@ func (h *LockFreeInline[K, V]) loadFrom(t *inTable[K], k K) (V, bool) {
 		return zero, false
 	}
 	// A claim with no published value linearizes before its store.
-	m, a, b := sl.read()
+	m, w := sl.read()
 	if !live(m) {
 		return zero, false
 	}
-	return h.dec(a, b), true
+	return h.dec(w), true
 }
 
 // Update applies f to the current value for k (zero value and ok=false if
@@ -282,12 +280,10 @@ func (h *LockFreeInline[K, V]) Update(k K, f func(old V, ok bool) V) {
 	var old V
 	present := live(m)
 	if present {
-		old = h.dec(sl.w0.Load(), sl.w1.Load())
+		old = h.dec(sl.w.Load())
 	}
-	a, b := h.enc(f(old, present))
-	sl.w0.Store(a)
-	sl.w1.Store(b)
-	sl.publish(m, imHas)
+	sl.w.Store(h.enc(f(old, present)))
+	sl.publish(imHas)
 }
 
 // Store sets the value for k. The write is allocation-free.
@@ -313,7 +309,7 @@ func (h *LockFreeInline[K, V]) Delete(k K) {
 		sl.meta.Store(m) // unlock unchanged: nothing was written
 		return
 	}
-	sl.publish(m, imHas|imDel)
+	sl.publish(imHas | imDel)
 }
 
 // rehashGrain is the slot count one pool task of Reserve's rehash covers.
@@ -339,14 +335,13 @@ func (h *LockFreeInline[K, V]) Reserve(more int) {
 			if sl.state.Load() != slotFull {
 				continue
 			}
-			m, a, b := sl.read()
+			m, w := sl.read()
 			if !live(m) {
 				continue
 			}
 			ns := findClaim(nt, sl.key, h.hashOf(sl.key))
-			ns.w0.Store(a)
-			ns.w1.Store(b)
-			ns.publish(ns.meta.Load(), imHas)
+			ns.w.Store(w)
+			ns.publish(imHas)
 		}
 	})
 	h.cur.Store(nt)
@@ -359,9 +354,9 @@ func (h *LockFreeInline[K, V]) Reserve(more int) {
 func (h *LockFreeInline[K, V]) Claimed() int { return int(h.cur.Load().claims.Load()) }
 
 // inSnap is the table's snapshot: an O(1) pin of the root table. All
-// reads go through the validated seqlock read, so snapshot readers racing
-// a writer storm spin through in-flight writes but never observe torn
-// words.
+// reads go through the validated slot read, so snapshot readers racing a
+// writer storm spin through in-flight writes but never observe a value no
+// writer wrote.
 type inSnap[K comparable, V any] struct {
 	h    *LockFreeInline[K, V]
 	root *inTable[K]
@@ -393,7 +388,7 @@ func (s *inSnap[K, V]) Range(f func(k K, v V) bool) {
 		if sl.state.Load() != slotFull {
 			continue
 		}
-		if m, a, b := sl.read(); live(m) && !f(sl.key, s.h.dec(a, b)) {
+		if m, w := sl.read(); live(m) && !f(sl.key, s.h.dec(w)) {
 			return
 		}
 	}
@@ -401,5 +396,5 @@ func (s *inSnap[K, V]) Range(f func(k K, v V) bool) {
 
 // EncInt32/DecInt32 are the codec for int32 values (the closest-pair cell
 // heads).
-func EncInt32(v int32) (uint64, uint64) { return uint64(uint32(v)), 0 }
-func DecInt32(a, _ uint64) int32        { return int32(uint32(a)) }
+func EncInt32(v int32) uint64 { return uint64(uint32(v)) }
+func DecInt32(w uint64) int32 { return int32(uint32(w)) }

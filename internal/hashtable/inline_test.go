@@ -1,11 +1,11 @@
 package hashtable
 
-// Tests of the table's seqlock slots and callback contract: torn-read
-// stress (the seqlock's whole job is multi-word consistency), allocation
-// pins for the write paths, growth with tombstones, and the exactly-once
-// Update callback the closest-pair grids build their cell lists on. The
-// phase stress (stress_test.go), the oracle and fuzz suites
-// (oracle_test.go, fuzz_test.go) and the shared Table suite
+// Tests of the table's slot cells and callback contract: torn-read
+// stress (every value a reader observes must be one a writer wrote
+// whole), allocation pins for the write paths, growth with tombstones,
+// and the exactly-once Update callback the closest-pair grids build their
+// cell lists on. The phase stress (stress_test.go), the oracle and fuzz
+// suites (oracle_test.go, fuzz_test.go) and the shared Table suite
 // (lockfree_test.go) cover the rest.
 
 import (
@@ -17,20 +17,21 @@ import (
 	"repro/internal/parallel"
 )
 
-// pairVal is a two-word POD whose halves must always be observed
-// together: b is derived from a, so any torn read is detectable.
+// pairVal is a one-word POD of two 32-bit halves that must always be
+// observed together: b is derived from a, so a read of a value no writer
+// wrote whole is detectable.
 type pairVal struct {
-	a, b uint64
+	a, b uint32
 }
 
-const pairMagic = 0x9e3779b97f4a7c15
+const pairMagic = 0x9e3779b9
 
-func encPair(v pairVal) (uint64, uint64) { return v.a, v.b }
-func decPair(a, b uint64) pairVal        { return pairVal{a, b} }
+func encPair(v pairVal) uint64 { return uint64(v.a)<<32 | uint64(v.b) }
+func decPair(w uint64) pairVal { return pairVal{uint32(w >> 32), uint32(w)} }
 
 // EncInt/DecInt are the int codec the suites build their tables with.
-func EncInt(v int) (uint64, uint64) { return uint64(v), 0 }
-func DecInt(a, _ uint64) int        { return int(a) }
+func EncInt(v int) uint64 { return uint64(v) }
+func DecInt(w uint64) int { return int(w) }
 
 func newInlinePair(capacity int) *LockFreeInline[int, pairVal] {
 	return NewLockFreeInline[int, pairVal](capacity,
@@ -42,9 +43,9 @@ func newInlineInt(capacity int) *LockFreeInline[int, int] {
 		func(k int) uint64 { return Mix64(uint64(k)) }, EncInt, DecInt)
 }
 
-// TestInlineTornReadStress hammers a small key space with two-word writes
-// whose halves are linked (b = a*magic), while readers assert every value
-// they load is internally consistent. The writes run in phases, each
+// TestInlineTornReadStress hammers a small key space with writes whose
+// halves are linked (b = a*magic), while readers assert every value they
+// load is internally consistent. The writes run in phases, each
 // inserting fresh keys beside the hot-key traffic, with a growing Reserve
 // at every boundary, so the readers' loads straddle the root swaps. Run
 // under -race by the CI race job.
@@ -87,7 +88,7 @@ func TestInlineTornReadStress(t *testing.T) {
 			go func(g int) {
 				defer writers.Done()
 				for i := ph * writes / phases; i < (ph+1)*writes/phases; i++ {
-					a := uint64(g)<<32 | uint64(i)
+					a := uint32(g)<<24 | uint32(i)
 					m.Store(i%hotKeys, pairVal{a, a * pairMagic})
 					m.Update((i+g)%hotKeys, func(old pairVal, ok bool) pairVal {
 						if ok && old.b != old.a*pairMagic {
@@ -104,7 +105,7 @@ func TestInlineTornReadStress(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := lo; i < hi; i++ {
-				a := uint64(1_000_000 + i)
+				a := uint32(1_000_000 + i)
 				m.Store(1000+i, pairVal{a, a * pairMagic})
 			}
 		}()
@@ -130,7 +131,7 @@ func TestInlineTornReadStress(t *testing.T) {
 func TestInlineWriteNoAlloc(t *testing.T) {
 	m := newInlinePair(1024)
 	for i := 0; i < 256; i++ {
-		a := uint64(i)
+		a := uint32(i)
 		m.Store(i, pairVal{a, a * pairMagic})
 	}
 	checks := []struct {
@@ -138,7 +139,7 @@ func TestInlineWriteNoAlloc(t *testing.T) {
 		op   func()
 	}{
 		{"store", func() {
-			a := uint64(42)
+			a := uint32(42)
 			m.Store(7, pairVal{a, a * pairMagic})
 		}},
 		{"update", func() {

@@ -12,16 +12,17 @@ import "sync/atomic"
 // What a snapshot guarantees, precisely:
 //
 //   - Every read is torn-free. Snap.Load/Range go through the validated
-//     seqlock read (load meta, words, meta again), so a reader can never
-//     observe half of a two-word write — even while writers storm the
-//     same slots.
+//     slot read (load meta, the value word, meta again), so a reader only
+//     ever observes a value some writer wrote whole — even while writers
+//     storm the same slots.
 //   - Reads are *regular*: a Load returns the value of some committed
 //     write no older than the snapshot point (never an older one, never a
 //     torn one). Writes that land after the snapshot MAY be visible —
 //     slots mutate in place, the snapshot pins the array, not the values.
 //     Exact committed-round-prefix semantics are built one layer up, by
-//     stamping values with the round that wrote them (the Delaunay face
-//     map does exactly this) or by quiescing writers across a boundary.
+//     stamping values with the round that wrote them (what
+//     TestSnapshotRoundPrefix does) or by quiescing writers across a
+//     boundary (what the Delaunay publisher does).
 //   - A Reserve that grows the table swaps the root: a snapshot opened
 //     before it keeps reading the old table, which answers the
 //     pre-growth state and receives no later write. The pinned pointer

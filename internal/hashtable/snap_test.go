@@ -3,7 +3,7 @@ package hashtable
 // Tests for the snapshot layer (snap.go): LockFreeInline snapshot
 // semantics against the frozen mapSnap oracle, the regular-read guarantee,
 // snapshots across a growing Reserve, the round-prefix completeness of
-// boundary snapshots, the torn-read pins for the seqlock-validated
+// boundary snapshots, the torn-read pins for the validated
 // snapshot sweeps, and the ridtdebug phase-violation detector. The storm
 // tests are run under -race by the CI race job.
 
@@ -113,8 +113,8 @@ func TestSnapshotRegularReads(t *testing.T) {
 }
 
 // TestSnapshotTornReadStorm: snapshot Load/Range/Len on the inline table
-// go through the validated seqlock read, so a reader storming alongside
-// two-word writers never observes a half-written value. The writes run in
+// go through the validated slot read, so a reader storming alongside
+// writers only observes values some writer wrote whole. The writes run in
 // phases with a growing Reserve at every boundary, so readers also open
 // snapshots on roots that a later Reserve retires. -race covered.
 func TestSnapshotTornReadStorm(t *testing.T) {
@@ -164,7 +164,7 @@ func TestSnapshotTornReadStorm(t *testing.T) {
 				defer writers.Done()
 				r := rng.New(seed)
 				for i := 0; i < writes/phases; i++ {
-					a := r.Uint64() | 1
+					a := uint32(r.Uint64()) | 1
 					m.Store(int(r.Uint64()%hotKeys), pairVal{a, a * pairMagic})
 				}
 			}(uint64(ph*p+g)*77 + 1)
@@ -173,7 +173,7 @@ func TestSnapshotTornReadStorm(t *testing.T) {
 		go func() { // fresh keys fill the room the phase's Reserve made
 			defer writers.Done()
 			for i := lo; i < hi; i++ {
-				m.Store(hotKeys+i, pairVal{uint64(i) | 1, (uint64(i) | 1) * pairMagic})
+				m.Store(hotKeys+i, pairVal{uint32(i) | 1, (uint32(i) | 1) * pairMagic})
 			}
 		}()
 		writers.Wait()
@@ -213,7 +213,7 @@ func TestInlineRangeLenTornFree(t *testing.T) {
 			defer writers.Done()
 			r := rng.New(seed)
 			for i := 0; i < writes; i++ {
-				a := r.Uint64() | 1
+				a := uint32(r.Uint64()) | 1
 				m.Store(int(r.Uint64()%hotKeys), pairVal{a, a * pairMagic})
 			}
 		}(uint64(g)*13 + 3)

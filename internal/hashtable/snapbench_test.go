@@ -81,7 +81,7 @@ func BenchmarkSnapshotReadUnderWrites(b *testing.B) {
 }
 
 // BenchmarkSnapshotReadRange sweeps every entry visible to a snapshot:
-// the bulk-export path (and the seqlock-validated visit loop's cost).
+// the bulk-export path (and the validated visit loop's cost).
 func BenchmarkSnapshotReadRange(b *testing.B) {
 	for name, mk := range benchTables(benchN) {
 		b.Run("impl="+name, func(b *testing.B) {

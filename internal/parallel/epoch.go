@@ -39,22 +39,10 @@ type epochEntry[T any] struct {
 // channel closes); the poll only bounds cancellation latency.
 const awaitPoll = 5 * time.Millisecond
 
-// Publish installs v as the current value and returns its epoch number.
-// v must not be mutated after the call.
-func (e *Epoch[T]) Publish(v *T) uint64 {
-	e.mu.Lock()
-	var ep uint64 = 1
-	if old := e.cur.Load(); old != nil {
-		ep = old.epoch + 1
-	}
-	e.cur.Store(&epochEntry[T]{v: v, epoch: ep})
-	if e.tick != nil {
-		close(e.tick)
-	}
-	e.tick = make(chan struct{})
-	e.mu.Unlock()
-	return ep
-}
+// Publish installs v as the current value and returns its epoch number,
+// one past the current one (1 for the first publication): PublishAt's
+// clamp of epoch 0. v must not be mutated after the call.
+func (e *Epoch[T]) Publish(v *T) uint64 { return e.PublishAt(v, 0) }
 
 // PublishAt installs v at a caller-chosen epoch number, provided it moves
 // the cell forward; an epoch at or below the current one is clamped to
