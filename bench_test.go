@@ -413,14 +413,13 @@ func BenchmarkType2Runner(b *testing.B) {
 		return x
 	}
 	n := 1 << 20
-	run := func(b *testing.B, runner func(int, core.Type2Hooks) core.Type2Stats, once bool) {
+	run := func(b *testing.B, runner func(int, core.Type2Hooks) core.Type2Stats) {
 		var checks int64
 		for i := 0; i < b.N; i++ {
 			var sig atomic.Uint64
 			sig.Store(mixb(12345))
 			st := runner(n, core.Type2Hooks{
-				SpecialOnce: once,
-				RunFirst:    func() {},
+				RunFirst: func() {},
 				IsSpecial: func(k int) bool {
 					return mixb(sig.Load()^mixb(uint64(k)+1))%uint64(k+1) < 2
 				},
@@ -431,8 +430,8 @@ func BenchmarkType2Runner(b *testing.B) {
 		}
 		b.ReportMetric(float64(checks)/float64(n), "checks/n")
 	}
-	b.Run(fmt.Sprintf("runner=seq/n=%d", n), func(b *testing.B) { run(b, core.RunType2Seq, false) })
-	b.Run(fmt.Sprintf("runner=batched/n=%d", n), func(b *testing.B) { run(b, core.RunType2, true) })
+	b.Run(fmt.Sprintf("runner=seq/n=%d", n), func(b *testing.B) { run(b, core.RunType2Seq) })
+	b.Run(fmt.Sprintf("runner=batched/n=%d", n), func(b *testing.B) { run(b, core.RunType2) })
 }
 
 // --- Ablations (design choices called out in DESIGN.md) -----------------

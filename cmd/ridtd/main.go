@@ -37,8 +37,8 @@
 // -scrub-every D runs the self-healing scrubber in the background every
 // D: each pass re-reads every generation with a full decode+validate,
 // renames provably corrupt files to ckpt-<gen>.bad (quarantine, never
-// silent deletion), promotes the newest restorable state to a fresh root
-// when the chain head was lost, and rewrites the advisory MANIFEST.
+// silent deletion), and promotes the newest restorable state to a fresh
+// root when the chain head was lost.
 // -scrub runs exactly one such pass and exits (the CI/cron shape);
 // outcomes are counted in the periodic report and the final summary.
 package main

@@ -16,12 +16,10 @@ import (
 )
 
 const (
-	ckptPrefix   = "ckpt-"
-	ckptSuffix   = ".ridt"
-	badSuffix    = ".bad"
-	manifestName = "MANIFEST"
-	manifestTag  = "RIDTMAN1"
-	tmpPrefix    = ".tmp-"
+	ckptPrefix = "ckpt-"
+	ckptSuffix = ".ridt"
+	badSuffix  = ".bad"
+	tmpPrefix  = ".tmp-"
 
 	// keepGenerations bounds the on-disk history: the newest
 	// keepGenerations generations are retained as restore TIPS, plus —
@@ -107,8 +105,8 @@ func (w *Writer) Dir() string { return w.dir }
 // a link over the writer's chain tip when the tip belongs to the same run
 // and the chain is shorter than DefaultMaxChain, a root otherwise — and
 // returns the committed path and which role was written. The commit is
-// write-temp, fsync, rename, fsync-dir, then the manifest by the same
-// protocol. On any error (including injected ones) the temp file is
+// write-temp, fsync, rename, fsync-dir. On any error (including injected
+// ones) the temp file is
 // removed and the directory still holds only fully committed
 // generations.
 //
@@ -166,8 +164,7 @@ func (w *Writer) save(st *delaunay.BuildState, meta Meta, base *chainTip) (strin
 }
 
 // commitImage runs the atomic-commit protocol for one encoded generation:
-// temp write, fsync, rename, fsync-dir, manifest. Returns the committed
-// path.
+// temp write, fsync, rename, fsync-dir. Returns the committed path.
 func (w *Writer) commitImage(gen uint64, frames [][]byte) (string, error) {
 	final := filepath.Join(w.dir, ckptName(gen))
 	tmp := filepath.Join(w.dir, tmpPrefix+ckptName(gen))
@@ -181,9 +178,6 @@ func (w *Writer) commitImage(gen uint64, frames [][]byte) (string, error) {
 	}
 	if err := commitStep(func() error { return syncDir(w.dir) }); err != nil {
 		return "", fmt.Errorf("checkpoint: sync dir: %w", err)
-	}
-	if err := w.writeManifest(gen); err != nil {
-		return "", err
 	}
 	return final, nil
 }
@@ -212,41 +206,6 @@ func writeTemp(path string, frames [][]byte) error {
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("checkpoint: close temp: %w", err)
-	}
-	return nil
-}
-
-// writeManifest records gen as the newest committed generation, with the
-// same temp/fsync/rename/fsync-dir protocol as the data file. The
-// manifest is advisory — Restore verifies rather than trusts it — so a
-// crash between data commit and manifest commit costs nothing.
-func (w *Writer) writeManifest(gen uint64) error {
-	tmp := filepath.Join(w.dir, tmpPrefix+manifestName)
-	body := fmt.Sprintf("%s %016x\n", manifestTag, gen)
-	err := func() error {
-		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if _, err := f.WriteString(body); err != nil {
-			return err
-		}
-		if err := commitStep(f.Sync); err != nil {
-			return err
-		}
-		return f.Close()
-	}()
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: write manifest: %w", err)
-	}
-	if err := commitStep(func() error { return os.Rename(tmp, filepath.Join(w.dir, manifestName)) }); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: commit manifest: %w", err)
-	}
-	if err := commitStep(func() error { return syncDir(w.dir) }); err != nil {
-		return fmt.Errorf("checkpoint: sync dir: %w", err)
 	}
 	return nil
 }
@@ -331,22 +290,6 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// readManifest returns the generation the manifest records, or false if
-// the manifest is missing or malformed.
-func readManifest(dir string) (uint64, bool) {
-	b, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return 0, false
-	}
-	s := strings.TrimSpace(string(b))
-	rest, ok := strings.CutPrefix(s, manifestTag+" ")
-	if !ok {
-		return 0, false
-	}
-	g, err := strconv.ParseUint(rest, 16, 64)
-	return g, err == nil
-}
-
 // resolved is one generation's outcome: the complete state it restores
 // to, or why it does not.
 type resolved struct {
@@ -419,9 +362,9 @@ func (r *resolver) resolveFile(g uint64) (*delaunay.BuildState, Meta, error) {
 	return st, meta, err
 }
 
-// Restore loads the newest fully valid checkpoint from dir: the
-// manifest's generation first (it is a hint, verified like any other),
-// then every on-disk generation newest-first. A link generation is
+// Restore loads the newest fully valid checkpoint from dir, trying every
+// on-disk generation newest-first: generation numbers only grow, so the
+// file names alone order the history. A link generation is
 // resolved through its recorded base chain with every link verified
 // (decode, structural validation, watermark, run metadata, prefix
 // digests); a tip whose chain is broken anywhere is skipped — falling
@@ -448,17 +391,6 @@ func Restore(dir string) (*delaunay.BuildState, Meta, error) {
 		return nil, Meta{}, ErrNoCheckpoint
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	if mg, ok := readManifest(dir); ok {
-		// Try the manifest's generation first without disturbing the
-		// newest-first fallback order for the rest.
-		for i, g := range gens {
-			if g == mg && i > 0 {
-				copy(gens[1:i+1], gens[:i])
-				gens[0] = mg
-				break
-			}
-		}
-	}
 	res := &resolver{dir: dir, cache: make(map[uint64]*resolved, len(gens))}
 	var lastErr error
 	for _, g := range gens {

@@ -256,7 +256,7 @@ func TestRestoreFallsBackPastBrokenDelta(t *testing.T) {
 	saveLink(t, w, mid, meta) // gen 2
 	run.step(t, 1)
 	tipPath := saveLink(t, w, run.lv.CaptureState(), meta) // gen 3
-	// Corrupt the newest link; the manifest still points at it.
+	// Corrupt the newest link.
 	data := mustRead(t, tipPath)
 	data[len(data)-10] ^= 0xff
 	if err := os.WriteFile(tipPath, data, 0o644); err != nil {

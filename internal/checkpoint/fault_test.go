@@ -12,13 +12,12 @@ import (
 
 // Hits per save at each site, fixed by the commit protocol and the same
 // for a root and a link: one CheckpointFrame per frame of the format, one
-// CheckpointCommit per step of the commit sequence (data fsync, data
-// rename, dir sync, manifest fsync, manifest rename, dir sync). The
-// counts are asserted before use so a protocol change updates this table
-// consciously.
+// CheckpointCommit per step of the commit sequence (fsync, rename, dir
+// sync). The counts are asserted before use so a protocol change updates
+// this table consciously.
 const (
 	frameHitsPerSave  = numFrames
-	commitHitsPerSave = 6
+	commitHitsPerSave = 3
 )
 
 // TestCheckpointFaultEveryHit forces a failure at EVERY distinct

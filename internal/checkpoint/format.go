@@ -35,12 +35,11 @@
 //
 // SaveAuto writes to a dot-prefixed temp file in the target directory,
 // fsyncs it, renames it to its final generation-numbered name, and
-// fsyncs the directory; the manifest recording the newest committed
-// generation is updated with the same protocol. A crash at any byte
-// therefore leaves either the previous generation or a fully valid new
-// one — never a half-written file under a committed name. Restore walks
-// generations newest-first and falls back past any that fail full
-// validation.
+// fsyncs the directory. A crash at any byte therefore leaves either the
+// previous generation or a fully valid new one — never a half-written
+// file under a committed name. Generation numbers only grow, so Restore
+// walks the file names newest-first and falls back past any generation
+// that fails full validation.
 package checkpoint
 
 import (

@@ -49,9 +49,7 @@ func (r ScrubResult) String() string {
 // After the walk, if any tip was lost AND a resolvable state survives,
 // the newest such state is promoted to a fresh root (an ordinary save:
 // same atomic-commit protocol, counted as a repair), so later links
-// chain from an intact base instead of a hole. Finally the advisory
-// MANIFEST is rewritten if it points at a generation that no longer
-// restores.
+// chain from an intact base instead of a hole.
 //
 // Scrub shares the writer's lock with saves: a pass never races a commit.
 func (w *Writer) Scrub() (ScrubResult, error) {
@@ -155,12 +153,6 @@ func (w *Writer) Scrub() (ScrubResult, error) {
 		if _, err := w.save(newestState.st, newestState.meta, nil); err == nil {
 			res.Repaired++
 			res.Newest = w.gen - 1
-		}
-	} else if newestState != nil {
-		// Chain intact at the tip; still re-point the advisory manifest if
-		// it is missing or names a generation proved unrestorable.
-		if mg, ok := readManifest(w.dir); !ok || (mg != newestGood && lost[mg]) {
-			_ = w.writeManifest(newestGood)
 		}
 	}
 	return res, nil

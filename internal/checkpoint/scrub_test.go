@@ -118,11 +118,7 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 			t.Fatalf("expected quarantine file %s: %v", name, err)
 		}
 	}
-	// The repair is a fresh root, newest on disk, and the manifest
-	// points at it.
-	if mg, ok := readManifest(dir); !ok || mg != res.Newest {
-		t.Fatalf("manifest (%016x, %v) after repair, want %016x", mg, ok, res.Newest)
-	}
+	// The repair is a fresh root, newest on disk.
 	hdr, ch, err := readHeader(filepath.Join(dir, ckptName(res.Newest)))
 	if err != nil || hdr.Base != (delaunay.Watermark{}) || ch != (Chain{}) {
 		t.Fatalf("promoted generation header: base %+v chain %+v err %v, want a root", hdr.Base, ch, err)
@@ -171,15 +167,13 @@ func TestScrubQuarantinesMissingBaseOrphans(t *testing.T) {
 	}
 }
 
-// TestScrubRewritesStaleManifest: a manifest pointing at a generation the
-// pass quarantined must be re-pointed at the newest restorable one, even
-// when no repair promotion was needed.
-func TestScrubRewritesStaleManifest(t *testing.T) {
+// TestScrubPromotesPastCorruptTip: with only the newest link corrupt,
+// the pass quarantines it alone and promotes the newest survivor to a
+// fresh root, and Restore lands on it.
+func TestScrubPromotesPastCorruptTip(t *testing.T) {
 	dir := t.TempDir()
 	w, _, _ := chainDir(t, dir)
-	// Corrupt the NEWEST link (gen 3): gens 1–2 still restore, so no
-	// promotion is needed beyond quarantine... but the manifest points at
-	// the dead tip.
+	// Corrupt the NEWEST link (gen 3): gens 1–2 still restore.
 	p3 := filepath.Join(dir, ckptName(3))
 	data, err := os.ReadFile(p3)
 	if err != nil {
@@ -201,11 +195,12 @@ func TestScrubRewritesStaleManifest(t *testing.T) {
 	if res.Repaired != 1 {
 		t.Fatalf("scrub result %+v, want the lost tip repaired by promotion", res)
 	}
-	if mg, ok := readManifest(dir); !ok || mg != res.Newest {
-		t.Fatalf("manifest (%016x, %v), want the promoted generation %016x", mg, ok, res.Newest)
+	got, _, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("Restore after promotion: %v", err)
 	}
-	if _, _, err := Restore(dir); err != nil {
-		t.Fatalf("Restore after manifest rewrite: %v", err)
+	if prom, _, err := readHeader(filepath.Join(dir, ckptName(res.Newest))); err != nil || got.Round != prom.Round {
+		t.Fatalf("Restore returned round %d, want the promoted generation %016x (err %v)", got.Round, res.Newest, err)
 	}
 }
 

@@ -29,18 +29,14 @@
 // and the next sub-round resumes at l+1. A sub-round with no reservation
 // commits the whole prefix as regular and ends the round.
 //
-// Hooks that declare SpecialOnce (state changes only at special
-// iterations, so a rendered verdict cannot change until the next special
-// commits) get the windowed schedule: the live prefix is probed in
-// doubling windows starting at probeWindow0, so a sub-round's probe work
-// is proportional to the distance to the next special rather than the
-// prefix width. Verdicts from already-probed windows are carried forward
-// within the sub-round instead of being re-evaluated, which makes the
-// total number of checks O(n) worst-case — each index is probed O(1)
-// amortized times per committed special that lands near it — rather than
-// O(n) only in expectation. Without the flag the runner conservatively
-// re-probes the full live prefix each sub-round (still in parallel), the
-// exact accounting of the sequential reference RunType2Seq.
+// Hooks change state only at special iterations (the Type2Hooks
+// contract), so the live prefix is probed in doubling windows starting at
+// probeWindow0 and verdicts from already-probed windows are carried
+// forward within the sub-round: a sub-round's probe work is proportional
+// to the distance to the next special rather than the prefix width, and
+// the total number of checks is O(n) worst-case — each index is probed
+// O(1) amortized times per committed special that lands near it — rather
+// than O(n) only in expectation.
 //
 // Every runner records the counters the experiments report: rounds
 // (dependence-depth proxy), sub-rounds, special-iteration count, charged
@@ -131,6 +127,14 @@ type Type2Stats struct {
 // committed and k is special; RunRegular(lo, hi) receives each sub-round's
 // whole regular block in one call and may execute its iterations in any
 // order or in parallel (none is special given the current state).
+//
+// RunType2 requires the verdict-stability contract: all state that
+// IsSpecial observes is written only by RunFirst and RunSpecial —
+// RunRegular commits are no-ops as far as IsSpecial can tell. A verdict
+// rendered for iteration k therefore cannot change until the next special
+// iteration commits, which is what lets the runner carry verdicts forward
+// within a sub-round instead of re-evaluating them. RunType2Seq
+// re-evaluates every verdict and needs no such contract.
 type Type2Hooks struct {
 	// RunFirst executes iteration 0 (always special: it initializes state).
 	RunFirst func()
@@ -146,22 +150,11 @@ type Type2Hooks struct {
 	// RunSpecial executes special iteration k; may touch all earlier state
 	// and may parallelize internally (depth d(n) in the theorem).
 	RunSpecial func(k int)
-	// SpecialOnce declares the verdict-stability contract: all state that
-	// IsSpecial observes is written only by RunFirst and RunSpecial —
-	// RunRegular commits are no-ops as far as IsSpecial can tell. A verdict
-	// rendered for iteration k therefore cannot change until the next
-	// special iteration commits, and the runner carries verdicts forward
-	// within a sub-round instead of re-evaluating them: the live prefix is
-	// probed in doubling windows and each index is checked O(1) amortized
-	// times worst-case, not just in expectation. Hooks that leave this
-	// false get a full-prefix probe per sub-round.
-	SpecialOnce bool
 }
 
-// probeWindow0 is the width of the first probe window of a sub-round under
-// the SpecialOnce schedule; windows double from here, so the probe work of
-// a sub-round is at most ~2× the distance to the committed special plus
-// probeWindow0.
+// probeWindow0 is the width of the first probe window of a sub-round;
+// windows double from here, so the probe work of a sub-round is at most
+// ~2× the distance to the committed special plus probeWindow0.
 const probeWindow0 = 4
 
 // RunType2 executes n iterations under the Algorithm 1 prefix-doubling
@@ -170,9 +163,8 @@ const probeWindow0 = 4
 // indices are 0-based; iteration 0 is the distinguished first (special)
 // iteration. The committed special sequence, final state, and the
 // Special/Rounds/SubRounds counters are identical to RunType2Seq's;
-// Checks and MaxProbe are at most the reference's — smaller under the
-// SpecialOnce windowed schedule once a live prefix exceeds the first
-// probe window.
+// Checks and MaxProbe are at most the reference's — smaller once a live
+// prefix exceeds the first probe window.
 func RunType2(n int, h Type2Hooks) Type2Stats {
 	st := Type2Stats{N: n}
 	if n == 0 {
@@ -195,12 +187,7 @@ func RunType2(n int, h Type2Hooks) Type2Stats {
 			st.SubRounds++
 			// Reserve: find the earliest special iteration in the live
 			// prefix [j, hi) with a parallel priority-write reduction.
-			var l int
-			if h.SpecialOnce {
-				l = probeWindowed(&h, j, hi, &st)
-			} else {
-				l = probeFull(&h, j, hi, &st)
-			}
+			l := probeWindowed(&h, j, hi, &st)
 			// Commit: the whole regular block in one batched call, then
 			// the winning special iteration alone.
 			if l > j {
@@ -222,27 +209,13 @@ func RunType2(n int, h Type2Hooks) Type2Stats {
 	return st
 }
 
-// probeFull evaluates IsSpecial over the whole live prefix [j, hi) in one
-// parallel reservation and returns the winning index, or hi if none. The
-// full prefix is charged to Checks regardless of reservation pruning, so
-// the accounting is deterministic and matches RunType2Seq.
-func probeFull(h *Type2Hooks, j, hi int, st *Type2Stats) int {
-	st.Checks += int64(hi - j)
-	if hi-j > st.MaxProbe {
-		st.MaxProbe = hi - j
-	}
-	if idx, ok := parallel.ReduceMinIndex(j, hi, 0, h.IsSpecial); ok {
-		return idx
-	}
-	return hi
-}
-
-// probeWindowed probes [j, hi) in doubling windows under the SpecialOnce
-// contract: verdicts in an exhausted window are final for this sub-round
-// (no special has committed since they were rendered), so the scan never
-// revisits them. Charged checks per sub-round are at most
+// probeWindowed probes [j, hi) in doubling windows under the hooks'
+// verdict-stability contract and returns the winning index, or hi if none:
+// verdicts in an exhausted window are final for this sub-round (no special
+// has committed since they were rendered), so the scan never revisits
+// them. Charged checks per sub-round are at most
 // min(hi-j, 2(l-j)+probeWindow0) for winning index l — never more than
-// probeFull charges — and O(n) worst-case over a whole run.
+// RunType2Seq charges — and O(n) worst-case over a whole run.
 func probeWindowed(h *Type2Hooks, j, hi int, st *Type2Stats) int {
 	idx, ok := parallel.ScanMinIndexWindows(j, hi, probeWindow0, func(width int) {
 		st.Checks += int64(width)

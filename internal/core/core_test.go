@@ -68,17 +68,14 @@ func TestType1DepthBound(t *testing.T) {
 }
 
 // type2Runners enumerates every schedule the trace tests must satisfy: the
-// sequential reference and the batched runner, each with and without the
-// SpecialOnce contract (a scripted special-set is trivially verdict-stable,
-// so both flag settings are valid).
+// sequential reference and the batched runner (a scripted special-set is
+// trivially verdict-stable, so it keeps the Type2Hooks contract).
 var type2Runners = []struct {
 	name string
 	run  func(n int, h Type2Hooks) Type2Stats
-	once bool
 }{
-	{"seq", RunType2Seq, false},
-	{"batched", RunType2, false},
-	{"batched-once", RunType2, true},
+	{"seq", RunType2Seq},
+	{"batched", RunType2},
 }
 
 // type2Trace runs a Type 2 schedule against a scripted special-set and
@@ -92,7 +89,6 @@ func type2Trace(t *testing.T, n int, specialAt map[int]bool) {
 		executed := make([]bool, n)
 		var order []int
 		h := Type2Hooks{
-			SpecialOnce: runner.once,
 			RunFirst: func() {
 				executed[0] = true
 				order = append(order, 0)
@@ -188,9 +184,8 @@ func TestRunType2RandomScripts(t *testing.T) {
 func TestRunType2Empty(t *testing.T) {
 	for _, runner := range type2Runners {
 		st := runner.run(0, Type2Hooks{
-			RunFirst:    func() { t.Fatal("must not run") },
-			IsSpecial:   func(int) bool { return false },
-			SpecialOnce: runner.once,
+			RunFirst:  func() { t.Fatal("must not run") },
+			IsSpecial: func(int) bool { return false },
 		})
 		if st.Special != 0 || st.Rounds != 0 {
 			t.Fatalf("%s: empty run: %+v", runner.name, st)
@@ -200,8 +195,8 @@ func TestRunType2Empty(t *testing.T) {
 
 func TestRunType2ChecksLinear(t *testing.T) {
 	// With O(1) expected specials per prefix, total checks are O(n); under
-	// the SpecialOnce windowed schedule the bound holds worst-case and is
-	// never above the sequential reference's charge.
+	// the windowed schedule the bound holds worst-case and is never above
+	// the sequential reference's charge.
 	r := rng.New(2)
 	n := 1 << 14
 	sp := map[int]bool{}
@@ -214,11 +209,10 @@ func TestRunType2ChecksLinear(t *testing.T) {
 	for _, runner := range type2Runners {
 		done := make([]bool, n)
 		st := runner.run(n, Type2Hooks{
-			RunFirst:    func() { done[0] = true },
-			IsSpecial:   func(k int) bool { return sp[k] },
-			RunRegular:  func(lo, hi int) {},
-			RunSpecial:  func(k int) {},
-			SpecialOnce: runner.once,
+			RunFirst:   func() { done[0] = true },
+			IsSpecial:  func(k int) bool { return sp[k] },
+			RunRegular: func(lo, hi int) {},
+			RunSpecial: func(k int) {},
 		})
 		if st.Checks > int64(12*n) {
 			t.Fatalf("%s: checks=%d is superlinear for n=%d", runner.name, st.Checks, n)

@@ -23,7 +23,7 @@ func mix64(x uint64) uint64 {
 // k and the set of specials committed so far — exactly the information a
 // Type 2 hook may consult — with Pr[special] ≈ c/k, the paper's regime.
 // State (the signature of committed specials) changes only in RunFirst and
-// RunSpecial, so the SpecialOnce contract holds by construction. Regular
+// RunSpecial, so the verdict-stability contract holds by construction. Regular
 // iterations fold a per-index hash into an order-insensitive accumulator,
 // so final states compare exactly without constraining commit granularity.
 type modelType2 struct {
@@ -34,9 +34,8 @@ type modelType2 struct {
 	regSum   atomic.Uint64
 }
 
-func (m *modelType2) hooks(once bool) Type2Hooks {
+func (m *modelType2) hooks() Type2Hooks {
 	return Type2Hooks{
-		SpecialOnce: once,
 		RunFirst: func() {
 			m.sig.Store(mix64(m.salt))
 			m.specials = append(m.specials, 0)
@@ -71,9 +70,9 @@ func equalInts(a, b []int) bool {
 }
 
 // TestRunType2EquivalenceRandom replays the same iteration stream through
-// the sequential reference and the batched runner (with and without
-// SpecialOnce) and asserts identical committed special sequences, final
-// state, schedule counters, and the O(n) check bound.
+// the sequential reference and the batched runner and asserts identical
+// committed special sequences, final state, schedule counters, and the
+// O(n) check bound.
 func TestRunType2EquivalenceRandom(t *testing.T) {
 	r := rng.New(7)
 	trials := 25
@@ -86,31 +85,27 @@ func TestRunType2EquivalenceRandom(t *testing.T) {
 		c := uint64(1 + r.Intn(3))
 
 		ref := &modelType2{salt: salt, c: c}
-		refSt := RunType2Seq(n, ref.hooks(false))
+		refSt := RunType2Seq(n, ref.hooks())
 
-		for _, once := range []bool{false, true} {
-			m := &modelType2{salt: salt, c: c}
-			st := RunType2(n, m.hooks(once))
+		m := &modelType2{salt: salt, c: c}
+		st := RunType2(n, m.hooks())
 
-			if !equalInts(m.specials, ref.specials) {
-				t.Fatalf("trial %d n=%d once=%v: special sequence diverged:\nbatched %v\nseq     %v",
-					trial, n, once, m.specials, ref.specials)
-			}
-			if m.regSum.Load() != ref.regSum.Load() {
-				t.Fatalf("trial %d n=%d once=%v: final regular state %x != %x",
-					trial, n, once, m.regSum.Load(), ref.regSum.Load())
-			}
-			if st.Special != refSt.Special || st.Rounds != refSt.Rounds || st.SubRounds != refSt.SubRounds {
-				t.Fatalf("trial %d once=%v: schedule counters diverged: %+v vs %+v",
-					trial, once, st, refSt)
-			}
-			if st.Checks > refSt.Checks {
-				t.Fatalf("trial %d once=%v: batched charged %d checks, reference %d",
-					trial, once, st.Checks, refSt.Checks)
-			}
-			if st.Checks > int64(16*n) {
-				t.Fatalf("trial %d once=%v: checks=%d superlinear for n=%d", trial, once, st.Checks, n)
-			}
+		if !equalInts(m.specials, ref.specials) {
+			t.Fatalf("trial %d n=%d: special sequence diverged:\nbatched %v\nseq     %v",
+				trial, n, m.specials, ref.specials)
+		}
+		if m.regSum.Load() != ref.regSum.Load() {
+			t.Fatalf("trial %d n=%d: final regular state %x != %x",
+				trial, n, m.regSum.Load(), ref.regSum.Load())
+		}
+		if st.Special != refSt.Special || st.Rounds != refSt.Rounds || st.SubRounds != refSt.SubRounds {
+			t.Fatalf("trial %d: schedule counters diverged: %+v vs %+v", trial, st, refSt)
+		}
+		if st.Checks > refSt.Checks {
+			t.Fatalf("trial %d: batched charged %d checks, reference %d", trial, st.Checks, refSt.Checks)
+		}
+		if st.Checks > int64(16*n) {
+			t.Fatalf("trial %d: checks=%d superlinear for n=%d", trial, st.Checks, n)
 		}
 	}
 }
@@ -122,11 +117,10 @@ func TestRunType2EquivalenceRandom(t *testing.T) {
 func TestRunType2WindowedChecksWorstCase(t *testing.T) {
 	n := 1 << 12
 	st := RunType2(n, Type2Hooks{
-		SpecialOnce: true,
-		RunFirst:    func() {},
-		IsSpecial:   func(k int) bool { return true },
-		RunRegular:  func(lo, hi int) { t.Errorf("no regular block exists in [%d,%d)", lo, hi) },
-		RunSpecial:  func(k int) {},
+		RunFirst:   func() {},
+		IsSpecial:  func(k int) bool { return true },
+		RunRegular: func(lo, hi int) { t.Errorf("no regular block exists in [%d,%d)", lo, hi) },
+		RunSpecial: func(k int) {},
 	})
 	if st.Special != n {
 		t.Fatalf("special=%d want %d", st.Special, n)
@@ -145,9 +139,9 @@ func TestRunType2ParallelRace(t *testing.T) {
 		n = 1 << 13
 	}
 	ref := &modelType2{salt: 99, c: 2}
-	RunType2Seq(n, ref.hooks(false))
+	RunType2Seq(n, ref.hooks())
 	m := &modelType2{salt: 99, c: 2}
-	st := RunType2(n, m.hooks(true))
+	st := RunType2(n, m.hooks())
 	if !equalInts(m.specials, ref.specials) {
 		t.Fatalf("special sequence diverged under the parallel schedule")
 	}

@@ -6,8 +6,8 @@ import (
 
 // This file holds the round arena: the reusable scratch behind
 // ParTriangulate's round engine. Every per-round slice (activation
-// scratch, fires, new-triangle staging, per-block predicate counters, the
-// dense candidate-emission slots, pack scratch) lives here and is resized
+// scratch, fires, per-block predicate counters, the dense
+// candidate-emission slots, pack scratch) lives here and is resized
 // in place, so steady-state rounds allocate O(1) — only the scheduler's
 // per-loop task state and the occasional capacity growth while the
 // largest round is still being discovered. The per-triangle encroacher
@@ -79,17 +79,15 @@ func growSlice[T any](s []T, n int) []T {
 
 // roundArena is the reusable scratch of one ParTriangulate run.
 type roundArena struct {
-	evalF    []fire                // dense activation output, one per candidate
-	evalOK   []bool                // activation predicate flags
-	fires    []fire                // packed fires of the current round
-	newTris  []Tri                 // staged triangles, copied into the store
-	newDepth []int32               // staged dependence depths
-	preds    []geom.PredicateStats // per-block predicate counters (zeroed per round)
-	dense    []uint64              // 3 face-key emission slots per fire
-	keep     []bool                // emission winner flags over dense
-	cand     []uint64              // double buffer for the candidate list
-	counts   []int                 // PackInto block scratch
-	earenas  []*i32arena           // per-block encroacher-list sub-arenas
+	evalF   []fire                // dense activation output, one per candidate
+	evalOK  []bool                // activation predicate flags
+	fires   []fire                // packed fires of the current round
+	preds   []geom.PredicateStats // per-block predicate counters (zeroed per round)
+	dense   []uint64              // 3 face-key emission slots per fire
+	keep    []bool                // emission winner flags over dense
+	cand    []uint64              // double buffer for the candidate list
+	counts  []int                 // PackInto block scratch
+	earenas []*i32arena           // per-block encroacher-list sub-arenas
 }
 
 func newRoundArena() *roundArena { return &roundArena{} }

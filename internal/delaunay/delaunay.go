@@ -22,6 +22,9 @@
 package delaunay
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -44,6 +47,23 @@ type Stats struct {
 	TrianglesCreated int64
 	Rounds           int // parallel rounds (0 for the sequential version)
 	DepDepth         int // triangle-DAG dependence depth in edges (Theorem 4.3)
+}
+
+// ErrInvalidInput is wrapped by the error a triangulator panics with, and
+// BuildState.Validate returns, when a point has a NaN or infinite
+// coordinate. The exact predicates answer 0 on such a point, so a build
+// would otherwise return a wrong mesh without an error.
+var ErrInvalidInput = errors.New("delaunay: invalid input")
+
+// checkFinite returns an error wrapping ErrInvalidInput that names the
+// first point of pts with a NaN or infinite coordinate, or nil.
+func checkFinite(pts []geom.Point) error {
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("%w: point %d (%v, %v) is not finite", ErrInvalidInput, i, p.X, p.Y)
+		}
+	}
+	return nil
 }
 
 // store holds the shared state of a triangulation run.
@@ -92,7 +112,12 @@ func logCap(n int) int { return 6*n + n/32 + 64 }
 // triangle has 2(n+3)-2-3 = 2n+1 triangles.
 func finalCount(n int) int { return 2*n + 1 }
 
+// newStore panics with an error wrapping ErrInvalidInput when a point is
+// not finite, before any triangle exists.
 func newStore(pts []geom.Point) *store {
+	if err := checkFinite(pts); err != nil {
+		panic(err)
+	}
 	n := len(pts)
 	a, b, c := geom.BoundingTriangle(pts)
 	all := make([]geom.Point, n, n+3)
@@ -260,7 +285,8 @@ func (s *store) finish() *Mesh {
 
 // Triangulate runs the sequential incremental algorithm: points are
 // inserted in slice order (callers wanting the randomized guarantees pass
-// a pre-shuffled slice). Duplicate points must have been removed.
+// a pre-shuffled slice). Duplicate points must have been removed; a NaN
+// or infinite coordinate panics with an error wrapping ErrInvalidInput.
 //
 // It runs on the round engine's store: E lists come from an i32arena, and
 // every triangle is created by the shared replaceBoundary. An alive

@@ -1,7 +1,9 @@
 package delaunay
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -10,6 +12,43 @@ import (
 
 func randPoints(seed uint64, n int) []geom.Point {
 	return geom.UniformSquare(rng.New(seed), n)
+}
+
+// TestNonFiniteInputRejected: every engine refuses a point with a NaN or
+// infinite coordinate with an error wrapping ErrInvalidInput that names
+// the point. The exact predicates answer 0 on such a point, so without the
+// check each engine returned a wrong mesh (the bare bounding triangle, or
+// a clockwise triangle from GKS) and no error.
+func TestNonFiniteInputRejected(t *testing.T) {
+	engines := map[string]func([]geom.Point){
+		"Triangulate":    func(p []geom.Point) { Triangulate(p) },
+		"ParTriangulate": func(p []geom.Point) { ParTriangulate(p) },
+		"GKSTriangulate": func(p []geom.Point) { GKSTriangulate(p) },
+		"NewLive": func(p []geom.Point) {
+			if _, err := NewLive(p).Run(nil); err != nil {
+				t.Fatalf("Live run: %v", err)
+			}
+		},
+	}
+	for _, bad := range []geom.Point{{X: math.NaN(), Y: 0}, {X: math.Inf(1), Y: 0}, {X: 0, Y: math.Inf(-1)}} {
+		pts := randPoints(3, 200)
+		pts = append(pts[:100:100], append([]geom.Point{bad}, pts[100:]...)...)
+		for name, run := range engines {
+			func() {
+				defer func() {
+					r := recover()
+					err, ok := r.(error)
+					if !ok || !errors.Is(err, ErrInvalidInput) {
+						t.Fatalf("%s on %v: recovered %v, want an error wrapping ErrInvalidInput", name, bad, r)
+					}
+					if !strings.Contains(err.Error(), "point 100 ") {
+						t.Errorf("%s on %v: %q does not name point 100", name, bad, err)
+					}
+				}()
+				run(pts)
+			}()
+		}
+	}
 }
 
 func TestTriangulateTiny(t *testing.T) {

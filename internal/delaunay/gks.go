@@ -44,8 +44,12 @@ type gksState struct {
 
 // GKSTriangulate runs the GKS incremental algorithm over the points in
 // slice order (pre-shuffled by the caller; duplicates removed). The output
-// mesh has the same shape as Triangulate's.
+// mesh has the same shape as Triangulate's. Like the other triangulators
+// it panics with an error wrapping ErrInvalidInput on a non-finite point.
 func GKSTriangulate(pts []geom.Point) (*Mesh, GKSStats) {
+	if err := checkFinite(pts); err != nil {
+		panic(err)
+	}
 	n := len(pts)
 	a, b, c := geom.BoundingTriangle(pts)
 	all := make([]geom.Point, n, n+3)

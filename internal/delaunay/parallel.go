@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -10,19 +11,18 @@ import (
 )
 
 // This file is the parallel round engine of Algorithm 5 (ParIncrementalDT).
-// Each round runs four fully parallel, steady-state-allocation-free phases
+// Each round runs three fully parallel, steady-state-allocation-free phases
 // over the arena in arena.go (see DESIGN.md in this directory for the
 // correctness arguments):
 //
-//   Activation  — a parallel blocked filter over the candidate faces
-//                 (previously a serial loop): evaluate Algorithm 5's line-6
-//                 condition per face into dense scratch, then PackInto the
-//                 fire list.
-//   Phase A     — read-only: compute every new triangle's corners and
-//                 encroacher list (carved from per-block E sub-arenas).
-//   Phase B     — install the new triangles into the face map and record
-//                 each fire's three touched faces in dense emission slots
-//                 (fire k: slots 3k..3k+2, triangle id base+k).
+//   Activation  — a parallel blocked filter over the candidate faces:
+//                 evaluate Algorithm 5's line-6 condition per face into
+//                 dense scratch, then PackInto the fire list.
+//   Fires       — each fire k runs ReplaceBoundary whole: it computes its
+//                 triangle's corners and encroacher list (carved from
+//                 per-block E sub-arenas), writes it at log slot base+k,
+//                 installs it in the face map, and records its three
+//                 touched faces in dense emission slots 3k..3k+2.
 //   Emission    — the sort-free candidate dedup: a face has at most two
 //                 touchers per round, both ids in its entry, and only the
 //                 smaller fire's slot survives the flag pass
@@ -77,7 +77,8 @@ const (
 // ReplaceBoundary(to, f, t, min(E(t))) in parallel. By Lemma 4.2 the calls
 // are exactly those of the sequential algorithm, so the result is the same
 // triangulation; the number of rounds is the triangle dependence depth
-// D(G_T(V)) = O(d log n) whp (Theorem 4.3).
+// D(G_T(V)) = O(d log n) whp (Theorem 4.3). Its input contract is
+// Triangulate's.
 func ParTriangulate(pts []geom.Point) *Mesh {
 	e := newRoundEngine(pts)
 	for e.step() {
@@ -146,18 +147,17 @@ func attachNewFace(faces *hashtable.LockFreeInline[uint64, faceEntry], fk2 uint6
 	})
 }
 
-// Boundary stages passed to a roundEngine's boundaryHook. The first three
+// Boundary stages passed to a roundEngine's boundaryHook. The first two
 // match the DelaunayPhase fault-site hit points: the top of a round
-// (nothing armed), after Phase A (arenas advanced, rollback armed), and
-// after Phase B (face map touched). stagePhaseB is passed once per fire
-// inside Phase B's loop, after the fire repoints its ripped face and
-// before it attaches its tent faces, so a panic there leaves the face map
-// partially installed.
+// (nothing armed) and after the fire loop (triangles written, face map
+// touched, rollback armed). stageFire is passed once per fire inside the
+// loop, after the fire writes its triangle and repoints its ripped face
+// and before it attaches its tent faces, so a panic there leaves the
+// face map partially installed.
 const (
 	stageRoundTop = iota
-	stagePostA
-	stagePostB
-	stagePhaseB
+	stagePostFires
+	stageFire
 )
 
 // step runs one round; it reports false (and does nothing further) when no
@@ -214,9 +214,9 @@ func (e *roundEngine) step() bool {
 		return false
 	}
 	// Each fire adds at most its two new faces to the face map, so the
-	// round's growth is known before Phase B; Reserve is the table's one
-	// growth point. It runs before arm, so a panic here leaves the engine
-	// clean.
+	// round's growth is known before the fires run; Reserve is the table's
+	// one growth point. It runs before arm, so a panic here leaves the
+	// engine clean.
 	faces.Reserve(2 * m)
 
 	// Mutation section: arm the rollback snapshot, then move the round.
@@ -224,59 +224,38 @@ func (e *roundEngine) step() bool {
 	e.round++
 	s.stats.Rounds++
 
-	// Phase A (parallel, read-only on shared state; advances the arenas).
+	// Fires: fire k creates its triangle, writes it at log slot base+k
+	// and installs it in the face map, in one parallel loop. A fire reads
+	// only triangles older than the round (its t and to, and their E
+	// lists), and no fire's triangle depends on the face map, so the
+	// fires of a round are independent. The log is reserved at logCap, so
+	// the grow almost never reallocates.
 	nb := parallel.NumBlocks(m, 1)
-	ar.newTris = growSlice(ar.newTris, m)
-	ar.newDepth = growSlice(ar.newDepth, m)
+	base := int32(len(s.tris))
+	s.tris = slices.Grow(s.tris, m)[:int(base)+m]
+	s.depth = slices.Grow(s.depth, m)[:int(base)+m]
+	s.stats.TrianglesCreated += int64(m)
 	ar.preds = growSlice(ar.preds, nb)
 	for i := range ar.preds {
 		ar.preds[i] = geom.PredicateStats{}
 	}
-	newTris, newDepth, preds := ar.newTris, ar.newDepth, ar.preds
+	ar.dense = growSlice(ar.dense, 3*m)
+	tris, depth, preds, dense := s.tris, s.depth, ar.preds, ar.dense
 	earenas := ar.eArenas(nb)
+	hook := e.boundaryHook // nil in production: one branch per fire
 	var tests atomic.Int64
-	//ridtvet:ignore noalloc one Phase A closure per round, O(1) against O(m) work
+	//ridtvet:ignore noalloc one fire closure per round, O(1) against O(m) work
 	parallel.BlocksN(0, m, nb, func(bi, lo, hi int) {
 		pred := &preds[bi]
 		ea := earenas[bi]
 		var local int64
 		for k := lo; k < hi; k++ {
 			f := fires[k]
-			tri, d, tc := s.replaceBoundary(f, s.minE(f.t), pred, ea)
-			newTris[k], newDepth[k] = tri, d
-			local += tc
-		}
-		tests.Add(local)
-	})
-	s.stats.InCircleTests += tests.Load()
-	for i := range preds {
-		s.pred.Merge(preds[i])
-	}
-	if fault.Enabled {
-		fault.Inject(fault.DelaunayPhase) // post-A: arenas advanced, armed
-	}
-	if e.boundaryHook != nil {
-		e.boundaryHook(stagePostA)
-	}
-
-	// Phase B: the triangle append and the face-map installs.
-	e.rb.phaseB = true
-	base := int32(len(s.tris))
-	//ridtvet:ignore noalloc the triangle log is reserved to its final size in newStore; the append almost never regrows
-	s.tris = append(s.tris, newTris...)
-	//ridtvet:ignore noalloc reserved alongside the triangle log in newStore
-	s.depth = append(s.depth, newDepth...)
-	s.stats.TrianglesCreated += int64(m)
-
-	ar.dense = growSlice(ar.dense, 3*m)
-	dense := ar.dense
-	hook := e.boundaryHook // nil in production: one branch per fire
-	//ridtvet:ignore noalloc one Phase B closure per round, O(1) against O(m) work
-	parallel.BlocksN(0, m, nb, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			f := fires[k]
 			id := base + int32(k)
-			v := newTris[k].V
+			v := s.minE(f.t)
+			tri, d, tc := s.replaceBoundary(f, v, pred, ea)
+			tris[id], depth[id] = tri, d
+			local += tc
 			// The ripped face now borders the new triangle instead of t.
 			// It fired, so it already has both triangles and cannot be
 			// touched as a new face this round: this fire is its only
@@ -292,30 +271,34 @@ func (e *roundEngine) step() bool {
 			})
 			dense[3*k] = f.fk
 			if hook != nil {
-				hook(stagePhaseB)
+				hook(stageFire)
 			}
 			// Register the two new faces of t'. A new face may be touched
 			// by the fire on its other side in the same round (created
 			// there, attached here, in either order); emission keeps the
 			// smaller fire's slot.
 			a, b := faceEnds(f.fk)
-			apex := v[0] + v[1] + v[2] - a - b
-			nf0, nf1 := faceKey(a, apex), faceKey(b, apex)
+			nf0, nf1 := faceKey(a, v), faceKey(b, v)
 			dense[3*k+1], dense[3*k+2] = nf0, nf1
 			attachNewFace(faces, nf0, id)
 			attachNewFace(faces, nf1, id)
 		}
+		tests.Add(local)
 	})
+	s.stats.InCircleTests += tests.Load()
+	for i := range preds {
+		s.pred.Merge(preds[i])
+	}
 	if fault.Enabled {
-		fault.Inject(fault.DelaunayPhase) // post-B: face map touched, armed
+		fault.Inject(fault.DelaunayPhase) // post-fires: face map touched, armed
 	}
 	if e.boundaryHook != nil {
-		e.boundaryHook(stagePostB)
+		e.boundaryHook(stagePostFires)
 	}
 
 	// Emission: keep exactly each touched face's winning slot. The flag
-	// pass runs after Phase B's barrier, so every load observes both of
-	// the face's touchers.
+	// pass runs after the fire loop's barrier, so every load observes both
+	// of the face's touchers.
 	ar.keep = growSlice(ar.keep, 3*m)
 	keep := ar.keep
 	//ridtvet:ignore noalloc one emission closure per round, O(1) against O(m) work

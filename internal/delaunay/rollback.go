@@ -26,20 +26,22 @@ import "repro/internal/geom"
 //
 //   - Activation writes only arena scratch — nothing to undo; the round
 //     counter and stats are untouched until the engine arms.
-//   - Phase A advances the per-block encroacher arenas and the
-//     predicate/stat counters: rewind each arena to its armed (ci, pos)
-//     mark and restore the stats/pred snapshots. Staged triangle data is
-//     scratch.
-//   - Phase B appends the staged triangles and touches the face map:
-//     truncate the triangle log to its armed length and un-touch the
-//     faces fire by fire — conditionally, because a panicked round stops
-//     with an arbitrary subset of fires installed. For fire k with new
-//     triangle id: the ripped face's t-side is restored to f.t if it was
-//     re-pointed to id; each of the two tent faces is deleted if this
-//     attach created it (t0 == id) or has its t1 reset to NoTri if this
-//     attach joined an existing entry. Un-processed fires match nothing
-//     and no-op. Deleted tent faces are value-level tombstones; the
-//     retry's attach re-creates them.
+//   - The fire loop advances the per-block encroacher arenas and the
+//     predicate/stat counters, writes the round's log slots, and touches
+//     the face map: rewind each arena to its armed (ci, pos) mark, restore
+//     the stats/pred snapshots, truncate the triangle log to its armed
+//     length, and un-touch the faces fire by fire — conditionally, because
+//     a panicked round stops with an arbitrary subset of fires installed.
+//     For fire k with new triangle id = base+k: the ripped face's t-side is
+//     restored to f.t if it was re-pointed to id; each of the two tent
+//     faces is deleted if this attach created it (t0 == id) or has its t1
+//     reset to NoTri if this attach joined an existing entry. No entry of
+//     a committed round names an id at or past base, so a fire that never
+//     ran matches nothing and no-ops. The tent faces are (a, v) and (b, v)
+//     for the ripped face (a, b) and the inserted point v = minE(f.t),
+//     read from f.t, which predates the round and survives the truncation.
+//     Deleted tent faces are value-level tombstones; the retry's attach
+//     re-creates them.
 
 // i32mark is a saved (chunk, offset) cursor of an i32arena.
 type i32mark struct{ ci, pos int }
@@ -47,9 +49,8 @@ type i32mark struct{ ci, pos int }
 // rollbackState is the armed snapshot that makes one round revocable.
 type rollbackState struct {
 	dirty   bool // a round's mutation section is (or was) in flight
-	phaseB  bool // the triangle append / face-map section was entered
 	trisLen int  // triangle-log length at arm time
-	m       int  // fires staged this round
+	m       int  // fires of this round
 	stats   Stats
 	pred    geom.PredicateStats
 	marks   []i32mark // encroacher-arena cursors at arm time
@@ -59,7 +60,7 @@ type rollbackState struct {
 // before the round counter moves.
 func (e *roundEngine) arm(m int) {
 	rb := &e.rb
-	rb.dirty, rb.phaseB = true, false
+	rb.dirty = true
 	rb.trisLen = len(e.s.tris)
 	rb.m = m
 	rb.stats = e.s.stats
@@ -79,42 +80,37 @@ func (e *roundEngine) rollback() {
 		return
 	}
 	s, ar := e.s, e.ar
-	if rb.phaseB {
-		base := int32(rb.trisLen)
-		fires := ar.fires[:rb.m]
-		for k := range fires {
-			f := fires[k]
-			id := base + int32(k)
-			// Ripped face: this fire's Phase B update re-pointed its t side
-			// at the new triangle; point it back. An entry not referencing
-			// id means this fire never ran — leave it alone.
-			if ent, ok := e.faces.Load(f.fk); ok {
-				if ent.t0 == id {
-					ent.t0 = f.t
-					e.faces.Store(f.fk, ent)
-				} else if ent.t1 == id {
-					ent.t1 = f.t
-					e.faces.Store(f.fk, ent)
-				}
+	base := int32(rb.trisLen)
+	for k, f := range ar.fires[:rb.m] {
+		id := base + int32(k)
+		// Ripped face: this fire's update re-pointed its t side at the new
+		// triangle; point it back. An entry not referencing id means this
+		// fire never got that far — leave it alone.
+		if ent, ok := e.faces.Load(f.fk); ok {
+			if ent.t0 == id {
+				ent.t0 = f.t
+				e.faces.Store(f.fk, ent)
+			} else if ent.t1 == id {
+				ent.t1 = f.t
+				e.faces.Store(f.fk, ent)
 			}
-			// Tent faces: delete what this attach created, detach what it
-			// joined. The other side's fire (if any) erases its own mark;
-			// whichever order the loop visits them, the key ends absent or
-			// exactly as it was before the round.
-			v := ar.newTris[k].V
-			a, b := faceEnds(f.fk)
-			apex := v[0] + v[1] + v[2] - a - b
-			for _, nf := range [2]uint64{faceKey(a, apex), faceKey(b, apex)} {
-				ent, ok := e.faces.Load(nf)
-				if !ok {
-					continue
-				}
-				if ent.t0 == id {
-					e.faces.Delete(nf)
-				} else if ent.t1 == id {
-					ent.t1 = NoTri
-					e.faces.Store(nf, ent)
-				}
+		}
+		// Tent faces: delete what this attach created, detach what it
+		// joined. The other side's fire (if any) erases its own mark;
+		// whichever order the loop visits them, the key ends absent or
+		// exactly as it was before the round.
+		a, b := faceEnds(f.fk)
+		v := s.minE(f.t)
+		for _, nf := range [2]uint64{faceKey(a, v), faceKey(b, v)} {
+			ent, ok := e.faces.Load(nf)
+			if !ok {
+				continue
+			}
+			if ent.t0 == id {
+				e.faces.Delete(nf)
+			} else if ent.t1 == id {
+				ent.t1 = NoTri
+				e.faces.Store(nf, ent)
 			}
 		}
 	}

@@ -80,7 +80,7 @@ func TestStepCancelCleanAbortAndResume(t *testing.T) {
 
 	fired := false
 	lv.e.boundaryHook = func(st int) {
-		if st == stagePostB && !fired {
+		if st == stagePostFires && !fired {
 			fired = true
 			panic("injected phase crash")
 		}
@@ -110,11 +110,11 @@ func TestStepCancelCleanAbortAndResume(t *testing.T) {
 // TestPanicMidRoundLazyRollback is the delaunay half of the panic-safety
 // tests: a panic escaping a round leaves the engine dirty, and the next
 // use repairs it — scratch is reset, not poisoned — yielding the identical
-// mesh. The boundary stages crash round 2 once; stagePhaseB crashes the
-// first, a middle and the last fire of Phase B's loop in rounds 2, 10, 20
+// mesh. The boundary stages crash round 2 once; stageFire crashes the
+// first, a middle and the last fire of the fire loop in rounds 2, 10, 20
 // and 30, with the face map partially installed (the crashing fire has
-// repointed its ripped face but attached no tent face), which exercises
-// rollback's per-fire conditional repair.
+// written its triangle and repointed its ripped face but attached no tent
+// face), which exercises rollback's per-fire conditional repair.
 func TestPanicMidRoundLazyRollback(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(13), 1500))
 	want := ParTriangulate(pts)
@@ -123,7 +123,7 @@ func TestPanicMidRoundLazyRollback(t *testing.T) {
 	// previous round's number.
 	crash := func(tag string, stage int, round int32, at func(m int) int) {
 		e := newRoundEngine(pts)
-		var calls atomic.Int64 // the stagePhaseB hook runs on pool workers
+		var calls atomic.Int64 // the stageFire hook runs on pool workers
 		e.boundaryHook = func(st int) {
 			if st == stage && e.round == round && calls.Add(1) == int64(at(len(e.ar.fires))) {
 				panic("injected phase crash")
@@ -149,13 +149,13 @@ func TestPanicMidRoundLazyRollback(t *testing.T) {
 		meshEqual(t, tag+": resume after recovered panic", got, want)
 	}
 	first := func(int) int { return 1 }
-	for _, stage := range []int{stageRoundTop, stagePostA, stagePostB} {
+	for _, stage := range []int{stageRoundTop, stagePostFires} {
 		crash(fmt.Sprintf("stage %d", stage), stage, 2, first)
 	}
 	for _, r := range []int32{2, 10, 20, 30} {
-		crash(fmt.Sprintf("round %d, first fire", r), stagePhaseB, r, first)
-		crash(fmt.Sprintf("round %d, middle fire", r), stagePhaseB, r, func(m int) int { return (m + 1) / 2 })
-		crash(fmt.Sprintf("round %d, last fire", r), stagePhaseB, r, func(m int) int { return m })
+		crash(fmt.Sprintf("round %d, first fire", r), stageFire, r, first)
+		crash(fmt.Sprintf("round %d, middle fire", r), stageFire, r, func(m int) int { return (m + 1) / 2 })
+		crash(fmt.Sprintf("round %d, last fire", r), stageFire, r, func(m int) int { return m })
 	}
 }
 

@@ -150,9 +150,9 @@ func BenchmarkDelaunayRoundDedup(b *testing.B) {
 		}
 	})
 	b.Run(fmt.Sprintf("scheme=pair/m=%d", m), func(b *testing.B) {
-		// Prepare the face map as Phase B leaves it: a ripped face holds
-		// an older triangle and its fire's, a new face its one or two
-		// touchers' ids.
+		// Prepare the face map as the fire loop leaves it: a ripped face
+		// holds an older triangle and its fire's, a new face its one or
+		// two touchers' ids.
 		faces := newFaceMap(0, len(dense))
 		const base = int32(1)
 		for i, fk := range dense {

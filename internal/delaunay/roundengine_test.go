@@ -92,7 +92,7 @@ func TestRoundDedupPairRace(t *testing.T) {
 			}
 			id := base + int32(k)
 			if j := i % 3; j == 0 {
-				// Phase B's rip: the fire's triangle replaces the ripped one.
+				// The fire's rip: its triangle replaces the ripped one.
 				faces.Update(dense[3*k], func(old faceEntry, _ bool) faceEntry {
 					if old.t0 == ripped[k] {
 						old.t0 = id
@@ -217,7 +217,7 @@ func TestI32Arena(t *testing.T) {
 }
 
 // TestFaceMapUpdateNoAlloc pins the inline-slot payoff on the actual face
-// map value type: the Phase B updates (rip replacement and new-face
+// map value type: the fire loop's updates (rip replacement and new-face
 // attachment) and the emission load allocate nothing.
 func TestFaceMapUpdateNoAlloc(t *testing.T) {
 	faces := newFaceMap(0, 1024)

@@ -2,7 +2,6 @@ package delaunay
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -224,10 +223,8 @@ func (st *BuildState) Validate() error {
 		if len(st.Pts) != st.N+3 {
 			return fmt.Errorf("delaunay: state has %d points, want n+3 = %d", len(st.Pts), st.N+3)
 		}
-		for i, p := range st.Pts {
-			if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-				return fmt.Errorf("delaunay: point %d (%v, %v) is not finite", i, p.X, p.Y)
-			}
+		if err := checkFinite(st.Pts); err != nil {
+			return err
 		}
 	} else {
 		if len(st.Pts) != 0 {

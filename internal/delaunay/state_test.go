@@ -1,8 +1,10 @@
 package delaunay
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -241,8 +243,12 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			st := own()
 			corrupt(st)
-			if _, err := ResumeLive(st); err == nil {
-				t.Error("ResumeLive accepted a corrupt state")
+			_, err := ResumeLive(st)
+			if err == nil {
+				t.Fatal("ResumeLive accepted a corrupt state")
+			}
+			if strings.HasSuffix(name, "coordinate") && !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("ResumeLive: %v does not wrap ErrInvalidInput", err)
 			}
 		})
 	}

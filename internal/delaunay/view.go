@@ -13,8 +13,8 @@ import (
 // Serve-while-building: epoch-published immutable mesh views.
 //
 // The round engine appends triangles and never mutates a committed one —
-// a triangle's corner array and encroacher list are fixed at creation
-// (Phase A), and a triangle fires only if its encroacher list is
+// a triangle's corner array and encroacher list are fixed when its fire
+// writes it, and a triangle fires only if its encroacher list is
 // non-empty. So a triangle created with an empty E is part of the final
 // triangulation *forever*: the per-round final-triangle sets grow
 // monotonically toward exactly the set finish() extracts. That is what
@@ -345,8 +345,8 @@ type Live struct {
 }
 
 // NewLive starts a live triangulation over pts (same input contract as
-// ParTriangulate: pre-shuffled, deduplicated) and publishes the round-0
-// view (the bare bounding triangle).
+// ParTriangulate: pre-shuffled, deduplicated, finite) and publishes the
+// round-0 view (the bare bounding triangle).
 func NewLive(pts []geom.Point) *Live {
 	lv := &Live{e: newRoundEngine(pts)}
 	lv.final = make([]int32, 0, finalCount(lv.e.s.n))

@@ -92,10 +92,6 @@ func meshDigests(t *testing.T, seed uint64) []string {
 	}
 	var out []string
 	for _, in := range inputs {
-		live, err := delaunay.NewLive(in.pts).Run(nil)
-		if err != nil {
-			t.Fatalf("%s seed %d: Live run: %v", in.name, seed, err)
-		}
 		lv := delaunay.NewLive(in.pts)
 		for lv.View().Round() < 7 {
 			if more, err := lv.Step(nil); err != nil || !more {
@@ -103,6 +99,10 @@ func meshDigests(t *testing.T, seed uint64) []string {
 			}
 		}
 		img := checkpoint.Encode(lv.CaptureState(), checkpoint.Meta{Seed: seed})
+		live, err := lv.Run(nil)
+		if err != nil {
+			t.Fatalf("%s seed %d: Live run: %v", in.name, seed, err)
+		}
 		st, _, _, err := checkpoint.Decode(img)
 		if err != nil {
 			t.Fatalf("%s seed %d: decode: %v", in.name, seed, err)

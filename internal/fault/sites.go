@@ -55,8 +55,8 @@ const (
 	// only in Reserve, between phases). Every later site keeps its number,
 	// because decide draws from it and recorded seeds must replay.
 	_
-	// DelaunayPhase fires between the phases of a Delaunay engine round
-	// (activation, A, B, emission). Supports Delay and Panic; a panic here
+	// DelaunayPhase fires at the top of each Delaunay engine round and
+	// after its fire loop. Supports Delay and Panic; a panic here
 	// exercises the engine's round rollback.
 	DelaunayPhase
 	// Type2SubRound fires at the top of each RunType2 sub-round. Supports
@@ -81,8 +81,8 @@ const (
 	// must surface and abandon the attempt on.
 	CheckpointFrame
 	// CheckpointCommit fires at each step of a checkpoint's commit
-	// sequence (fsync file, rename into place, fsync directory, manifest
-	// update). Supports Delay, Panic, and Err: a death or error at any
+	// sequence (fsync file, rename into place, fsync directory). Supports
+	// Delay, Panic, and Err: a death or error at any
 	// commit step leaves either the previous generation or a fully valid
 	// new one — never a torn file under the committed name.
 	CheckpointCommit

@@ -105,9 +105,8 @@ func solveRec(cons []ConstraintD, obj []float64, work *int64, par bool) ([]float
 
 	var aWork atomic.Int64
 	// The optimum x moves only when a violated constraint commits, so the
-	// hooks satisfy the SpecialOnce contract at every recursion level.
+	// hooks keep the verdict-stability contract at every recursion level.
 	hooks := core.Type2Hooks{
-		SpecialOnce: true,
 		RunFirst: func() {
 			if len(cons) == 0 {
 				return

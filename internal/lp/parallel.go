@@ -14,7 +14,7 @@ import (
 // (doubling windows, earliest violated constraint wins) and runs the
 // winner's one-dimensional LP with a parallel min-reduction. The optimum
 // moves only at special iterations — regular commits are no-ops — so the
-// hooks declare SpecialOnce.
+// hooks keep core.Type2Hooks' verdict-stability contract.
 func ParSolve(cons []Constraint, cx, cy float64) (Result, Stats) {
 	var st Stats
 	n := len(cons)
@@ -23,7 +23,6 @@ func ParSolve(cons []Constraint, cx, cy float64) (Result, Stats) {
 	var sideTests, oneDim atomic.Int64
 
 	hooks := core.Type2Hooks{
-		SpecialOnce: true,
 		RunFirst: func() {
 			if n == 0 {
 				return

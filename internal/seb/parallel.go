@@ -61,8 +61,9 @@ func parUpdate2(pts []geom.Point, i, j int, tests *atomic.Int64) geom.Disk {
 // special check depends only on the current disk, so the Algorithm 1
 // reserve/commit schedule applies directly; special iterations run the
 // parallel Update1. The disk is written only by RunFirst and RunSpecial —
-// regular commits are no-ops — so the hooks declare SpecialOnce and the
-// runner probes the live prefix in batched doubling windows. The returned
+// regular commits are no-ops — so the hooks keep core.Type2Hooks'
+// verdict-stability contract and the runner probes the live prefix in
+// batched doubling windows. The returned
 // disk is identical to the sequential one.
 func ParIncremental(pts []geom.Point) (geom.Disk, Stats) {
 	n := len(pts)
@@ -75,7 +76,6 @@ func ParIncremental(pts []geom.Point) (geom.Disk, Stats) {
 	var d geom.Disk
 
 	hooks := core.Type2Hooks{
-		SpecialOnce: true,
 		RunFirst: func() {
 			// Iterations are points; by the time iteration 1 is reached the
 			// disk of the first two points must exist. Treat iteration 0 as
